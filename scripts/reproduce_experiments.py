@@ -21,14 +21,11 @@ from qdiv import (
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", type=Path)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
     out: Path = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    result = run_pairwise_experiment(
-        15, 5, out / "pairwise_15_5.csv", threads=args.threads
-    )
+    result = run_pairwise_experiment(15, 5, out / "pairwise_15_5.csv")
     print(f"pairwise: {result.rows_written} rows -> {result.out_path}")
 
     rows = run_uniform_study(32, 8)

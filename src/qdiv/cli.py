@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when inputs fail a precondition (the
-ValueError family raised by the library), 2 when an enumeration budget is
-exceeded. argparse keeps its native behavior of exiting with 2 on usage
-errors, which deliberately reads as "this run was too much to even start".
+ValueError family raised by the library) or a file cannot be written
+(OSError), 2 when an enumeration budget is exceeded. argparse keeps its
+native behavior of exiting with 2 on usage errors, which deliberately reads
+as "this run was too much to even start".
 
 Cells are reported 1-based on the command line; library objects index
 them 0-based.
@@ -160,7 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     pairwise.add_argument("--cells", type=int, required=True)
     pairwise.add_argument("--out", required=True)
     pairwise.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    pairwise.add_argument("--threads", type=int, default=None)
+    pairwise.add_argument(
+        "--threads", type=int, default=None, help="accepted and ignored"
+    )
     pairwise.set_defaults(func=_cmd_pairwise)
 
     uniform = sub.add_parser(
@@ -198,7 +201,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import QuantumDistribution, make_comparable
 from .errors import DegenerateNormalizer, DomainMismatch, QuantumMismatch
 
@@ -60,6 +62,25 @@ def _check_quantum(p: QuantumDistribution, q: QuantumDistribution) -> None:
         )
 
 
+# Per-cell terms of kl, jsd and hellinger_squared for multiplicities kp, kq
+# on the quantum 1/m. The scalar loops and measures() both evaluate these,
+# so the two agree bit for bit.
+def _kl_term(kp: int, kq: int, m: int) -> float:
+    return (kp / m) * math.log2(kp / kq)
+
+
+def _jsd_term(kp: int, kq: int, m: int) -> float:
+    a = kp / m
+    b = kq / m
+    mid = 0.5 * (a + b)
+    return a * math.log2(a / mid) + b * math.log2(b / mid)
+
+
+def _hellinger_term(kp: int, kq: int, m: int) -> float:
+    d = math.sqrt(kp / m) - math.sqrt(kq / m)
+    return d * d
+
+
 def kl(p: QuantumDistribution, q: QuantumDistribution) -> float:
     """Kullback-Leibler divergence of p from q in bits.
 
@@ -68,9 +89,10 @@ def kl(p: QuantumDistribution, q: QuantumDistribution) -> float:
     """
     _check_cells(p, q)
     _check_quantum(p, q)
+    m = p.total
     total = 0.0
     for kp, kq in zip(p.multiplicities, q.multiplicities):
-        total += (kp / p.total) * math.log2(kp / kq)
+        total += _kl_term(kp, kq, m)
     return total
 
 
@@ -119,12 +141,10 @@ def jsd(p: QuantumDistribution, q: QuantumDistribution) -> float:
     """
     _check_cells(p, q)
     _check_quantum(p, q)
+    m = p.total
     total = 0.0
     for kp, kq in zip(p.multiplicities, q.multiplicities):
-        a = kp / p.total
-        b = kq / q.total
-        mid = 0.5 * (a + b)
-        total += a * math.log2(a / mid) + b * math.log2(b / mid)
+        total += _jsd_term(kp, kq, m)
     return 0.5 * total
 
 
@@ -136,10 +156,10 @@ def hellinger_squared(p: QuantumDistribution, q: QuantumDistribution) -> float:
     """
     _check_cells(p, q)
     _check_quantum(p, q)
+    m = p.total
     total = 0.0
     for kp, kq in zip(p.multiplicities, q.multiplicities):
-        d = math.sqrt(kp / p.total) - math.sqrt(kq / q.total)
-        total += d * d
+        total += _hellinger_term(kp, kq, m)
     return 0.5 * total
 
 
@@ -165,6 +185,52 @@ def jaccard_distance(p: QuantumDistribution, q: QuantumDistribution) -> float:
             mins += kq
             maxs += kp
     return 1.0 - mins / maxs
+
+
+def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
+    """Every measure between each row of counts_p and each row of counts_q.
+
+    counts_p is (a, n), counts_q is (b, n), integer multiplicities on the
+    quantum 1/total. Returns (a, b) arrays kl, kn, jsd, hellinger_squared and
+    jaccard equal bit for bit to the scalar functions: the same _*_term
+    functions give each distinct (kp, kq) term, cells add left to right, and
+    kn divides by kl against build_maximizer's opponent (first minimal cell).
+    """
+    cp = np.asarray(counts_p, dtype=np.int64)
+    cq = np.asarray(counts_q, dtype=np.int64)
+    a, n = cp.shape
+    if cq.shape[1] != n:
+        raise DomainMismatch(f"cannot compare {n} cells against {cq.shape[1]}")
+    if min(cp.min(), cq.min()) < 1 or (cp.sum(1) != total).any() or (cq.sum(1) != total).any():
+        raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
+    block = total - n + 1
+    opponent = np.where(np.arange(n) == cp.argmin(axis=1)[:, None], block, 1)
+    # sorted distinct counts; np.unique would import numpy.ma, over 1 MB
+    kp_values = np.flatnonzero(np.bincount(cp.ravel()))
+    kq_values = np.flatnonzero(np.bincount(np.append(cq.ravel(), (1, block))))
+    kl_t, jsd_t, he_t = (
+        np.array([[term(kp, kq, total) for kq in kq_values.tolist()]
+                  for kp in kp_values.tolist()])
+        for term in (_kl_term, _jsd_term, _hellinger_term)
+    )
+    pi, qi = np.searchsorted(kp_values, cp), np.searchsorted(kq_values, cq)
+    def cell_sum(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # sum() starts at 0 and adds cell 0, 1, ... in turn, as the loops do
+        return sum(table[rows[..., c], cols[..., c]] for c in range(n))
+    kl_max = cell_sum(kl_t, pi, np.searchsorted(kq_values, opponent))
+    kl_max[kl_max == 0.0] = 1.0  # total == cells: the one pair is p == q, kl 0
+    out = {m: np.empty((a, len(cq))) for m in ("kl", "kn", "jsd", "hellinger_squared", "jaccard")}
+    step = max(1, (1 << 16) // len(cq))  # keeps each temporary near 2**16 entries
+    for start in range(0, a, step):
+        rows = slice(start, start + step)
+        p_rows, q_cols = pi[rows, None, :], qi[None, :, :]
+        out["kl"][rows] = cell_sum(kl_t, p_rows, q_cols)
+        out["kn"][rows] = out["kl"][rows] / kl_max[rows, None]
+        out["jsd"][rows] = 0.5 * cell_sum(jsd_t, p_rows, q_cols)
+        out["hellinger_squared"][rows] = 0.5 * cell_sum(he_t, p_rows, q_cols)
+        mins = sum(np.minimum(cp[rows, None, c], cq[None, :, c]) for c in range(n))
+        out["jaccard"][rows] = 1.0 - mins / (2 * total - mins)
+    return out
 
 
 def all_measures(

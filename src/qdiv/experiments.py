@@ -1,10 +1,8 @@
 """Experiment harness: pairwise sweeps, uniform studies, summary tables.
 
 All CSV output is byte-deterministic: header row, comma separator, 6-decimal
-fixed-point reals, LF line endings, UTF-8. The pairwise engine is the only
-parallel path; workers own disjoint row slices and every float reduction
-runs along the cell axis inside a single worker, so the thread count can
-never reorder an operation that reaches the output.
+fixed-point reals, LF line endings, UTF-8. Every value comes from one call
+of divergence.measures on the calling thread; there are no worker threads.
 
 Convention note: the uniform-study pipeline (study rows, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -15,8 +13,6 @@ matching the hellinger() measure itself.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,16 +20,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import OrderedQuantumDistribution, format_distribution
-from .divergence import hellinger_squared, jaccard_distance, jsd, kl, kn
-from .enumeration import count_unordered, enumerate_ordered, enumerate_unordered
-from .errors import BudgetExceeded, NonUniformCapable
+from .divergence import measures
+from .enumeration import EnumerationSpec, count_unordered, enumerate_ordered, enumerate_unordered
+from .errors import BudgetExceeded, DegenerateInput, InvalidSpec, NonUniformCapable
 from .stats import DistributionProperties, GapStats, distribution_properties, fractional_ranks, gap_stats, pearson, spearman
 
 PAIRWISE_MEASURES = ("kl", "kn", "jsd", "hellinger", "jaccard")
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 
 DEFAULT_PAIR_BUDGET = 2 * 10**6
-_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,8 @@ def run_pairwise_experiment(
     jaccard), indices being 0-based positions in the lex-descending
     enumeration, plus a companion summary CSV with the Pearson correlations
     between measure columns and gap statistics per column. Raises
-    BudgetExceeded when the pair count would pass the budget.
+    BudgetExceeded when the pair count would pass the budget. threads is
+    accepted and ignored.
     """
     out_path = Path(out_path)
     count = count_unordered(total, cells)
@@ -128,80 +124,24 @@ def run_pairwise_experiment(
     if pairs > budget:
         raise BudgetExceeded(f"{pairs} pairs exceed the budget of {budget}")
 
-    dists = list(enumerate_unordered(total, cells))
-    n = cells
-    counts = np.array([d.multiplicities for d in dists], dtype=np.int64)
-    probs = counts / float(total)
-    logs = np.log2(probs)
-    roots = np.sqrt(probs)
-
-    # kl(P, U) per row; the block M - n + 1 sits on a minimal cell, and the
-    # value only depends on the minimal probability, not the tie chosen.
-    plogp = np.sum(probs * np.log2(probs * total), axis=1)
-    klmax = plogp - probs.min(axis=1) * np.log2(total - n + 1)
-    klmax_safe = np.where(klmax == 0.0, 1.0, klmax)
-
-    out_kl = np.empty((count, count), dtype=np.float64)
-    out_kn = np.empty_like(out_kl)
-    out_jsd = np.empty_like(out_kl)
-    out_he = np.empty_like(out_kl)
-    out_jd = np.empty_like(out_kl)
-
-    def fill(start: int) -> None:
-        stop = min(start + _CHUNK_ROWS, count)
-        ap = probs[start:stop, None, :]
-        lp = logs[start:stop, None, :]
-        aq = probs[None, :, :]
-        lq = logs[None, :, :]
-        out_kl[start:stop] = np.sum(ap * (lp - lq), axis=2)
-        out_kn[start:stop] = out_kl[start:stop] / klmax_safe[start:stop, None]
-        mid_log = np.log2(0.5 * (ap + aq))
-        out_jsd[start:stop] = 0.5 * np.sum(
-            ap * (lp - mid_log) + aq * (lq - mid_log), axis=2
-        )
-        diff = roots[start:stop, None, :] - roots[None, :, :]
-        out_he[start:stop] = np.sqrt(0.5 * np.sum(diff * diff, axis=2))
-        mins = np.sum(
-            np.minimum(counts[start:stop, None, :], counts[None, :, :]), axis=2
-        )
-        out_jd[start:stop] = 1.0 - mins / (2 * total - mins)
-
-    starts = range(0, count, _CHUNK_ROWS)
-    workers = threads if threads else (os.cpu_count() or 1)
-    if workers > 1 and count > _CHUNK_ROWS:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for start in starts:
-            fill(start)
+    counts = [d.multiplicities for d in enumerate_unordered(total, cells)]
+    values = measures(counts, counts, total)
+    values["hellinger"] = np.sqrt(values.pop("hellinger_squared"))
 
     lines = ["index_p,index_q,kl,kn,jsd,hellinger,jaccard"]
+    line = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
     for i in range(count):
-        row_kl = out_kl[i]
-        row_kn = out_kn[i]
-        row_jsd = out_jsd[i]
-        row_he = out_he[i]
-        row_jd = out_jd[i]
-        for j in range(count):
-            lines.append(
-                f"{i},{j},{row_kl[j]:.6f},{row_kn[j]:.6f},{row_jsd[j]:.6f},"
-                f"{row_he[j]:.6f},{row_jd[j]:.6f}"
-            )
+        row = zip(*(values[m][i].tolist() for m in PAIRWISE_MEASURES))
+        lines.extend(line(i, j, *measured) for j, measured in enumerate(row))
     _write_text(out_path, lines)
 
-    columns = {
-        "kl": out_kl.ravel(),
-        "kn": out_kn.ravel(),
-        "jsd": out_jsd.ravel(),
-        "hellinger": out_he.ravel(),
-        "jaccard": out_jd.ravel(),
-    }
+    columns = {m: values[m].ravel() for m in PAIRWISE_MEASURES}
     correlations: dict[tuple[str, str], float] = {}
     for a_i, a in enumerate(PAIRWISE_MEASURES):
         for b in PAIRWISE_MEASURES[a_i + 1 :]:
             try:
                 correlations[(a, b)] = pearson(columns[a], columns[b])
-            except Exception:
+            except DegenerateInput:
                 continue  # degenerate column in a tiny space; row omitted
     gaps = {m: gap_stats(columns[m]) for m in PAIRWISE_MEASURES}
 
@@ -235,28 +175,20 @@ def run_uniform_study(total: int, cells: int) -> list[UniformStudyRow]:
     Requires cells to divide total so the uniform distribution exists on
     the same quantum.
     """
+    EnumerationSpec(total, cells)  # raises InvalidSpec before cells divides anything
     if total % cells != 0:
-        raise NonUniformCapable(
-            f"{cells} cells cannot split {total} dots uniformly"
-        )
-    uniform = OrderedQuantumDistribution((total // cells,) * cells)
-    rows: list[UniformStudyRow] = []
-    for p in enumerate_ordered(total, cells):
-        rows.append(
-            UniformStudyRow(
-                distribution=p,
-                kn=kn(p, uniform),
-                kl=kl(p, uniform),
-                jsd=jsd(p, uniform),
-                hellinger=hellinger_squared(p, uniform),
-                jaccard=jaccard_distance(p, uniform),
-                properties=distribution_properties(p),
-                ranks={},
-            )
-        )
-    for measure in TABLE_MEASURES:
-        ranks = fractional_ranks([row.value(measure) for row in rows])
-        for row, rank in zip(rows, ranks):
+        raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
+    dists = list(enumerate_ordered(total, cells))
+    values = measures([p.multiplicities for p in dists], [(total // cells,) * cells], total)
+    # TABLE_MEASURES order, which is also the order of the row's value fields;
+    # pop frees each array once its column of floats exists
+    columns = [values.pop(k)[:, 0].tolist() for k in ("kn", "kl", "jsd", "hellinger_squared", "jaccard")]
+    rows = [
+        UniformStudyRow(p, *measured, distribution_properties(p), {})
+        for p, *measured in zip(dists, *columns)
+    ]
+    for measure, column in zip(TABLE_MEASURES, columns):
+        for row, rank in zip(rows, fractional_ranks(column)):
             row.ranks[measure] = float(rank)
     return rows
 
@@ -294,6 +226,8 @@ def emit_tables(
     The mean includes the uniform distribution's own all-zero row. Table 2
     gains a final average row across all (cells, dots) experiments.
     """
+    if not cells_range or not dots_multipliers:
+        raise InvalidSpec("tables need at least one cell count and one multiplier")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records: list[ExperimentRecord] = []

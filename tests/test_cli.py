@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qdiv
 from qdiv.cli import main
 
 
@@ -162,3 +168,28 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--p", "1,1", "--q", "1,1", "--measure", "bogus"])
         assert exc.value.code == 2
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("uniform-study", "--dots", "32", "--cells", "0", "--out", "u.csv"),
+            ("rank", "--dots", "32", "--cells", "0", "--out", "r.csv"),
+            ("tables", "--cells", "0..1", "--out-dir", "t"),
+            ("tables", "--cells", "3..2", "--out-dir", "t"),
+            ("tables", "--multipliers", "", "--out-dir", "t"),
+            ("pairwise", "--dots", "6", "--cells", "3", "--out", "missing/dir/p.csv"),
+        ],
+    )
+    def test_invalid_input_is_one_error_line(self, tmp_path, argv):
+        # a fresh interpreter, so stderr is exactly what a shell user sees
+        env = dict(os.environ, PYTHONPATH=str(Path(qdiv.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdiv", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -21,6 +21,7 @@ from qdiv import (
     kl,
     kn,
     make_comparable,
+    measures,
 )
 
 
@@ -132,6 +133,27 @@ class TestValidation:
         assert set(values) == set(MEASURE_LABELS)
         rp, rq = make_comparable(p, q)
         assert values["kl"] == pytest.approx(kl(rp, rq), abs=1e-12)
+
+
+class TestBatchedKernel:
+    @given(pair_strategy(max_cells=10))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_functions_bitwise(self, pair):
+        p, q = pair
+        values = measures([p.multiplicities, q.multiplicities], [q.multiplicities], p.total)
+        for name, fn in (
+            ("kl", kl), ("kn", kn), ("jsd", jsd),
+            ("hellinger_squared", hellinger_squared), ("jaccard", jaccard_distance),
+        ):
+            assert values[name].shape == (2, 1)
+            assert values[name][:, 0].tolist() == [fn(p, q), fn(q, q)], name
+
+    def test_rejects_invalid_counts(self):
+        with pytest.raises(DomainMismatch):
+            measures([(2, 1, 1)], [(2, 2)], 4)
+        for q in [(2, 1, 2)], [(4, 0, 0)], [(5, -1, 0)]:
+            with pytest.raises(QuantumMismatch):
+                measures([(2, 1, 1)], q, 4)
 
 
 class TestAgainstScipy:

@@ -94,6 +94,16 @@ class TestPairwise:
         assert float(result.values["kn"].max()) <= 1.0 + 1e-12
         assert float(result.values["kl"].min()) == 0.0
 
+    @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8)])
+    def test_kept_values_equal_scalar_measures(self, tmp_path, total, cells):
+        # bitwise: at 8 cells and more, a reordered cell sum would show
+        result = run_pairwise_experiment(total, cells, tmp_path / "p.csv", keep_values=True)
+        dists = list(enumerate_unordered(total, cells))
+        scalar = {"kl": kl, "kn": kn, "jsd": jsd, "hellinger": hellinger, "jaccard": jaccard_distance}
+        for name, fn in scalar.items():
+            expected = [fn(p, q) for p in dists for q in dists]
+            assert result.values[name].tolist() == expected, name
+
     def test_single_distribution_domain(self, tmp_path):
         out = tmp_path / "one.csv"
         result = run_pairwise_experiment(4, 4, out)
@@ -126,6 +136,15 @@ class TestUniformStudy:
         for row in run_uniform_study(12, 6):
             assert row.hellinger == hellinger_squared(row.distribution, uniform)
             assert row.kl == kl(row.distribution, uniform)
+
+    def test_rows_equal_scalar_measures(self):
+        uniform = from_multiplicities([4] * 8)
+        scalar = {
+            "kn": kn, "kl": kl, "jsd": jsd, "hellinger": hellinger_squared, "jaccard": jaccard_distance
+        }
+        for row in run_uniform_study(32, 8):
+            for name, fn in scalar.items():
+                assert row.value(name) == fn(row.distribution, uniform), (row.distribution, name)
 
     def test_properties_attached(self):
         rows = run_uniform_study(12, 6)

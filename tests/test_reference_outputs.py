@@ -1,0 +1,54 @@
+"""Output bytes of the benchmark's commands against their recorded sha256s.
+
+The uniform commands (tables, uniform-study 32/8, rank 32/8) run at paper
+scale and the pairwise and verify commands at tiny scale, each through
+qdiv.cli.main in a fresh directory. Their arguments come from
+perfbench/run.py (workload_steps) and the expected digests from
+perfbench/reference.json, which this module only reads. Any byte drift, such
+as a tie that splits differently in a rank column, fails here and not only
+in the benchmark.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qdiv.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+STEPS = [
+    (scale, step)
+    for scale, workload in (("paper", "uniform"), ("tiny", "pairwise"), ("tiny", "verify"))
+    for step in _load_perfbench_run().workload_steps(workload, scale, threads=1)
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "scale, step", STEPS, ids=[f"{scale}-{step.label}" for scale, step in STEPS]
+)
+def test_output_bytes_match_reference(scale, step, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(step.argv)) == 0
+    digests = {"stdout": sha256(capsys.readouterr().out.encode("utf-8"))}
+    for name in step.outputs:
+        digests[name] = sha256((tmp_path / name).read_bytes())
+    assert digests == REFERENCE[scale][step.label]
