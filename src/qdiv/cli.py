@@ -80,13 +80,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_pairwise(args: argparse.Namespace) -> int:
-    result = run_pairwise_experiment(
-        args.dots,
-        args.cells,
-        args.out,
-        budget=args.budget,
-        threads=args.threads,
-    )
+    result = run_pairwise_experiment(args.dots, args.cells, args.out, budget=args.budget)
     print(f"rows={result.rows_written}")
     print(f"csv={result.out_path}")
     print(f"summary={result.summary_path}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .distributions import OrderedQuantumDistribution, QuantumDistribution
@@ -47,20 +46,21 @@ def count_unordered(total: int, cells: int) -> int:
     return math.comb(total - 1, total - cells)
 
 
-@lru_cache(maxsize=None)
-def _partitions_into(x: int, y: int) -> int:
-    # p_y(x) = p_y(x - y) + p_{y-1}(x - 1), seeded with p_1(x) = 1 for x >= 1.
-    if y < 1 or x < y:
-        return 0
-    if y == 1:
-        return 1
-    return _partitions_into(x - y, y) + _partitions_into(x - 1, y - 1)
-
-
 def count_ordered(total: int, cells: int) -> int:
-    """Number of partitions of total into exactly cells positive parts."""
+    """Number of partitions of total into exactly cells positive parts.
+
+    Taking one unit from every part leaves a partition of total - cells into
+    at most cells parts; by conjugation, into parts of size at most cells.
+    Those are counted bottom-up, one admissible part size at a time, in
+    O((total - cells) * cells) big-integer additions and no recursion.
+    """
     _check(total, cells)
-    return _partitions_into(total, cells)
+    free = total - cells
+    ways = [1] + [0] * free  # ways[x]: partitions of x into the sizes so far
+    for size in range(1, min(cells, free) + 1):
+        for x in range(size, free + 1):
+            ways[x] += ways[x - size]
+    return ways[free]
 
 
 def _compositions(total: int, cells: int) -> Iterator[tuple[int, ...]]:

@@ -3,6 +3,7 @@
 All CSV output is byte-deterministic: header row, comma separator, 6-decimal
 fixed-point reals, LF line endings, UTF-8. Every value comes from one call
 of divergence.measures on the calling thread; there are no worker threads.
+Writers take lines as they are formatted, so no whole CSV is held in memory.
 
 Convention note: the uniform-study pipeline (study rows, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -15,17 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distributions import OrderedQuantumDistribution, format_distribution
-from .divergence import measures
+from .divergence import MEASURE_LABELS, measures
 from .enumeration import EnumerationSpec, count_unordered, enumerate_ordered, enumerate_unordered
 from .errors import BudgetExceeded, DegenerateInput, InvalidSpec, NonUniformCapable
-from .stats import DistributionProperties, GapStats, distribution_properties, fractional_ranks, gap_stats, pearson, spearman
+from .stats import GapStats, distribution_properties, fractional_ranks, gap_stats, pearson
 
-PAIRWISE_MEASURES = ("kl", "kn", "jsd", "hellinger", "jaccard")
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 
 DEFAULT_PAIR_BUDGET = 2 * 10**6
@@ -57,7 +57,6 @@ class UniformStudyRow:
     jsd: float
     hellinger: float
     jaccard: float
-    properties: DistributionProperties
     ranks: dict[str, float]
 
     def value(self, measure: str) -> float:
@@ -68,8 +67,7 @@ class UniformStudyRow:
 class PairwiseResult:
     """Where a pairwise sweep landed and its companion statistics.
 
-    values is populated only when the sweep ran with keep_values=True; each
-    measure maps to its full N*N column in row-major pair order.
+    values maps each measure to its full N*N column in row-major pair order.
     """
 
     total: int
@@ -79,7 +77,7 @@ class PairwiseResult:
     gaps: dict[str, GapStats]
     out_path: Path
     summary_path: Path
-    values: Optional[dict[str, np.ndarray]] = None
+    values: dict[str, np.ndarray]
 
 
 @dataclass
@@ -94,11 +92,13 @@ def _f6(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
+def _write_text(path: Path, lines: Iterable[str]) -> None:
+    """Write each line with its LF as it arrives, so a generator streams."""
     # newline="" so the explicit LF endings pass through untranslated
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def run_pairwise_experiment(
@@ -106,8 +106,6 @@ def run_pairwise_experiment(
     cells: int,
     out_path: str | Path,
     budget: int = DEFAULT_PAIR_BUDGET,
-    threads: Optional[int] = None,
-    keep_values: bool = False,
 ) -> PairwiseResult:
     """All ordered pairs of unordered distributions, all five measures.
 
@@ -115,8 +113,8 @@ def run_pairwise_experiment(
     jaccard), indices being 0-based positions in the lex-descending
     enumeration, plus a companion summary CSV with the Pearson correlations
     between measure columns and gap statistics per column. Raises
-    BudgetExceeded when the pair count would pass the budget. threads is
-    accepted and ignored.
+    BudgetExceeded when the pair count would pass the budget. Rows are
+    formatted and written one index_p block at a time.
     """
     out_path = Path(out_path)
     count = count_unordered(total, cells)
@@ -128,28 +126,31 @@ def run_pairwise_experiment(
     values = measures(counts, counts, total)
     values["hellinger"] = np.sqrt(values.pop("hellinger_squared"))
 
-    lines = ["index_p,index_q,kl,kn,jsd,hellinger,jaccard"]
     line = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
-    for i in range(count):
-        row = zip(*(values[m][i].tolist() for m in PAIRWISE_MEASURES))
-        lines.extend(line(i, j, *measured) for j, measured in enumerate(row))
-    _write_text(out_path, lines)
 
-    columns = {m: values[m].ravel() for m in PAIRWISE_MEASURES}
+    def blocks():
+        yield "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
+        for i in range(count):
+            row = zip(*(values[m][i].tolist() for m in MEASURE_LABELS))
+            yield "\n".join(line(i, j, *measured) for j, measured in enumerate(row))
+
+    _write_text(out_path, blocks())
+
+    columns = {m: values[m].ravel() for m in MEASURE_LABELS}
     correlations: dict[tuple[str, str], float] = {}
-    for a_i, a in enumerate(PAIRWISE_MEASURES):
-        for b in PAIRWISE_MEASURES[a_i + 1 :]:
+    for a_i, a in enumerate(MEASURE_LABELS):
+        for b in MEASURE_LABELS[a_i + 1 :]:
             try:
                 correlations[(a, b)] = pearson(columns[a], columns[b])
             except DegenerateInput:
                 continue  # degenerate column in a tiny space; row omitted
-    gaps = {m: gap_stats(columns[m]) for m in PAIRWISE_MEASURES}
+    gaps = {m: gap_stats(columns[m]) for m in MEASURE_LABELS}
 
     summary_path = out_path.with_name(out_path.stem + "_summary" + out_path.suffix)
     summary = ["record,measure_a,measure_b,value"]
     for (a, b), value in correlations.items():
         summary.append(f"pearson,{a},{b},{_f6(value)}")
-    for m in PAIRWISE_MEASURES:
+    for m in MEASURE_LABELS:
         g = gaps[m]
         summary.append(f"distinct_count,{m},,{g.distinct_count}")
         summary.append(f"mean_gap,{m},,{_f6(g.mean_gap)}")
@@ -165,7 +166,7 @@ def run_pairwise_experiment(
         gaps=gaps,
         out_path=out_path,
         summary_path=summary_path,
-        values=columns if keep_values else None,
+        values=columns,
     )
 
 
@@ -183,10 +184,7 @@ def run_uniform_study(total: int, cells: int) -> list[UniformStudyRow]:
     # TABLE_MEASURES order, which is also the order of the row's value fields;
     # pop frees each array once its column of floats exists
     columns = [values.pop(k)[:, 0].tolist() for k in ("kn", "kl", "jsd", "hellinger_squared", "jaccard")]
-    rows = [
-        UniformStudyRow(p, *measured, distribution_properties(p), {})
-        for p, *measured in zip(dists, *columns)
-    ]
+    rows = [UniformStudyRow(p, *measured, {}) for p, *measured in zip(dists, *columns)]
     for measure, column in zip(TABLE_MEASURES, columns):
         for row, rank in zip(rows, fractional_ranks(column)):
             row.ranks[measure] = float(rank)
@@ -202,7 +200,7 @@ def write_uniform_study_csv(rows: list[UniformStudyRow], out_path: str | Path) -
     )
     lines = [header]
     for row in rows:
-        props = row.properties
+        props = distribution_properties(row.distribution)
         skew = _f6(props.skewness) if props.skewness is not None else ""
         kurt = _f6(props.excess_kurtosis) if props.excess_kurtosis is not None else ""
         ranks = ",".join(f"{row.ranks[m]:.1f}" for m in TABLE_MEASURES)
@@ -278,13 +276,14 @@ def run_rank_comparison(
         lines.append(f'"{format_distribution(row.distribution)}",{ranks}')
     _write_text(out_path, lines)
 
-    values = {m: [row.value(m) for row in rows] for m in TABLE_MEASURES}
+    # spearman is pearson on fractional ranks, which the rows already carry
+    ranks = {m: [row.ranks[m] for row in rows] for m in TABLE_MEASURES}
     coefficients: dict[tuple[str, str], float] = {}
     matrix_lines = ["measure," + ",".join(TABLE_MEASURES)]
     for a in TABLE_MEASURES:
         entries = []
         for b in TABLE_MEASURES:
-            rho = spearman(values[a], values[b])
+            rho = pearson(ranks[a], ranks[b])
             coefficients[(a, b)] = rho
             entries.append(_f6(rho))
         matrix_lines.append(f"{a}," + ",".join(entries))

@@ -9,6 +9,7 @@ values elsewhere in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .distributions import QuantumDistribution
 from .divergence import build_maximizer, kl
@@ -36,6 +37,20 @@ class MaximalityReport:
     max_gap: float = float("-inf")
 
 
+def _best_opponent(
+    p: QuantumDistribution, opponents: Iterable[QuantumDistribution]
+) -> tuple[QuantumDistribution, float]:
+    # one scalar kl per pair; ties keep the first winner
+    best_q = None
+    best = float("-inf")
+    for q in opponents:
+        value = kl(p, q)
+        if value > best:
+            best = value
+            best_q = q
+    return best_q, best
+
+
 def _check_budget(total: int, cells: int, budget: int) -> None:
     space = count_unordered(total, cells)
     if space > budget:
@@ -53,14 +68,7 @@ def brute_force_max_kl(
     winner in enumeration order.
     """
     _check_budget(p.total, p.cardinality, budget)
-    best_q = None
-    best = float("-inf")
-    for q in enumerate_unordered(p.total, p.cardinality):
-        value = kl(p, q)
-        if value > best:
-            best = value
-            best_q = q
-    return best_q, best
+    return _best_opponent(p, enumerate_unordered(p.total, p.cardinality))
 
 
 def verify_maximizer_sweep(
@@ -77,13 +85,7 @@ def verify_maximizer_sweep(
     opponents = list(enumerate_unordered(spec.total, spec.cells))
     for p in opponents:
         constructed = build_maximizer(p).max_divergence
-        best_q = None
-        best = float("-inf")
-        for q in opponents:
-            value = kl(p, q)
-            if value > best:
-                best = value
-                best_q = q
+        best_q, best = _best_opponent(p, opponents)
         gap = best - constructed
         if gap > report.max_gap:
             report.max_gap = gap

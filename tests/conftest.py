@@ -5,9 +5,9 @@ from qdiv import emit_tables, run_pairwise_experiment
 
 @pytest.fixture(scope="session")
 def pairwise_15_5(tmp_path_factory):
-    """Full all-pairs sweep on the 1001-distribution domain, arrays kept."""
+    """Full all-pairs sweep on the 1001-distribution domain."""
     out = tmp_path_factory.mktemp("pairwise") / "pairs_15_5.csv"
-    return run_pairwise_experiment(15, 5, out, keep_values=True)
+    return run_pairwise_experiment(15, 5, out)
 
 
 @pytest.fixture(scope="session")

@@ -15,11 +15,26 @@ def run(capsys, *argv):
     return code, captured.out.strip().split("\n"), captured.err
 
 
+def run_fresh(cwd, *argv):
+    # a fresh interpreter, so stderr is exactly what a shell user sees
+    env = dict(os.environ, PYTHONPATH=str(Path(qdiv.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "qdiv", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 class TestCount:
     def test_reference_domain(self, capsys):
         code, out, _ = run(capsys, "count", "--dots", "15", "--cells", "5")
         assert code == 0
         assert out == ["unordered=1001", "ordered=30"]
+
+    def test_deep_domain(self, tmp_path):
+        proc = run_fresh(tmp_path, "count", "--dots", "20000", "--cells", "10")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines()[1] == "ordered=391887324923068826482079538"
 
     def test_invalid_spec_exits_one(self, capsys):
         code, _, err = run(capsys, "count", "--dots", "3", "--cells", "5")
@@ -183,12 +198,7 @@ class TestNoTraceback:
         ],
     )
     def test_invalid_input_is_one_error_line(self, tmp_path, argv):
-        # a fresh interpreter, so stderr is exactly what a shell user sees
-        env = dict(os.environ, PYTHONPATH=str(Path(qdiv.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qdiv", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_fresh(tmp_path, *argv)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()

@@ -96,3 +96,9 @@ def test_large_count_is_exact_integer():
     assert count_unordered(32, 8) == 2_629_575
     assert count_ordered(32, 8) == 919
     assert count_ordered(50, 10) == 16928
+
+
+def test_deep_counts_need_no_recursion():
+    # both once ended in RecursionError; p(1500) is the partition number
+    assert count_ordered(20000, 10) == 391887324923068826482079538
+    assert count_ordered(3000, 1500) == 1329461690763193888825263136701886891117

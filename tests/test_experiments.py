@@ -1,4 +1,6 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,16 +62,28 @@ class TestPairwise:
             for text, value in zip(parts[2:], expected):
                 assert float(text) == pytest.approx(value, abs=5.1e-7)
 
-    def test_byte_identical_across_thread_counts(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         blobs = []
-        for threads in (1, 2, 5):
-            out = tmp_path / f"pairs_{threads}.csv"
-            run_pairwise_experiment(10, 4, out, threads=threads)
+        for run in range(3):
+            out = tmp_path / f"pairs_{run}.csv"
+            run_pairwise_experiment(10, 4, out)
             blobs.append(out.read_bytes())
-            summary = tmp_path / f"pairs_{threads}_summary.csv"
+            summary = tmp_path / f"pairs_{run}_summary.csv"
             blobs.append(summary.read_bytes())
         assert blobs[0::2] == [blobs[0]] * 3
         assert blobs[1::2] == [blobs[1]] * 3
+
+    def test_rows_stream_to_disk(self, tmp_path):
+        # the formatted rows as one list plus their joined text would take
+        # several times the file's size; streamed, the peak is the kernel's
+        out = tmp_path / "pairs.csv"
+        tracemalloc.start()
+        try:
+            run_pairwise_experiment(11, 5, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.stat().st_size
 
     def test_budget_enforced(self, tmp_path):
         with pytest.raises(BudgetExceeded):
@@ -86,8 +100,7 @@ class TestPairwise:
         assert ("kl", "kn") in result.correlations
 
     def test_kept_values_are_bounded(self, tmp_path):
-        result = run_pairwise_experiment(9, 4, tmp_path / "p.csv", keep_values=True)
-        assert result.values is not None
+        result = run_pairwise_experiment(9, 4, tmp_path / "p.csv")
         assert set(result.values) == {"kl", "kn", "jsd", "hellinger", "jaccard"}
         for column in result.values.values():
             assert column.shape == (result.rows_written,)
@@ -97,7 +110,7 @@ class TestPairwise:
     @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8)])
     def test_kept_values_equal_scalar_measures(self, tmp_path, total, cells):
         # bitwise: at 8 cells and more, a reordered cell sum would show
-        result = run_pairwise_experiment(total, cells, tmp_path / "p.csv", keep_values=True)
+        result = run_pairwise_experiment(total, cells, tmp_path / "p.csv")
         dists = list(enumerate_unordered(total, cells))
         scalar = {"kl": kl, "kn": kn, "jsd": jsd, "hellinger": hellinger, "jaccard": jaccard_distance}
         for name, fn in scalar.items():
@@ -146,10 +159,19 @@ class TestUniformStudy:
             for name, fn in scalar.items():
                 assert row.value(name) == fn(row.distribution, uniform), (row.distribution, name)
 
-    def test_properties_attached(self):
+    def test_properties_attached(self, tmp_path):
         rows = run_uniform_study(12, 6)
-        for row in rows:
-            assert row.properties == distribution_properties(row.distribution)
+        path = write_uniform_study_csv(rows, tmp_path / "study.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == len(rows)
+        columns = ("entropy", "cv", "skewness", "excess_kurtosis")
+        for row, record in zip(rows, records):
+            assert record["distribution"] == ",".join(map(str, row.distribution.multiplicities))
+            props = distribution_properties(row.distribution)
+            expected = (props.entropy, props.cv, props.skewness, props.excess_kurtosis)
+            for column, value in zip(columns, expected):
+                assert record[column] == ("" if value is None else f"{value:.6f}"), column
 
     def test_csv_layout(self, tmp_path):
         rows = run_uniform_study(12, 6)

@@ -2,7 +2,8 @@
 
 The uniform commands (tables, uniform-study 32/8, rank 32/8) run at paper
 scale and the pairwise and verify commands at tiny scale, each through
-qdiv.cli.main in a fresh directory. Their arguments come from
+qdiv.cli.main in a fresh directory; the paper-scale pairwise sweep that the
+session fixture pairwise_15_5 writes anyway is checked too. Arguments come from
 perfbench/run.py (workload_steps) and the expected digests from
 perfbench/reference.json, which this module only reads. Any byte drift, such
 as a tie that splits differently in a rank column, fails here and not only
@@ -52,3 +53,13 @@ def test_output_bytes_match_reference(scale, step, tmp_path, monkeypatch, capsys
     for name in step.outputs:
         digests[name] = sha256((tmp_path / name).read_bytes())
     assert digests == REFERENCE[scale][step.label]
+
+
+def test_paper_pairwise_bytes_match_reference(pairwise_15_5):
+    expected = REFERENCE["paper"]["pairwise"]
+    for path, name in (
+        (pairwise_15_5.out_path, "pairwise.csv"),
+        (pairwise_15_5.summary_path, "pairwise_summary.csv"),
+    ):
+        with open(path, "rb") as fh:
+            assert hashlib.file_digest(fh, "sha256").hexdigest() == expected[name], name
