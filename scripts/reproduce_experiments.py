@@ -28,15 +28,15 @@ def main() -> None:
     result = run_pairwise_experiment(15, 5, out / "pairwise_15_5.csv")
     print(f"pairwise: {result.rows_written} rows -> {result.out_path}")
 
-    rows = run_uniform_study(32, 8)
-    path = write_uniform_study_csv(rows, out / "uniform_32_8.csv")
-    print(f"uniform study: {len(rows)} rows -> {path}")
+    study = run_uniform_study(32, 8)
+    path = write_uniform_study_csv(study, out / "uniform_32_8.csv")
+    print(f"uniform study: {len(study)} rows -> {path}")
 
     records = emit_tables(range(6, 11), (2, 3, 4, 5), out)
     print(f"tables: {len(records)} records -> {out / 'table1.csv'}, {out / 'table2.csv'}")
 
     ranks = run_rank_comparison(32, 8, out / "ranks_32_8.csv")
-    print(f"ranks: {len(ranks.rows)} rows -> {ranks.out_path}, {ranks.spearman_path}")
+    print(f"ranks: {len(ranks.study)} rows -> {ranks.out_path}, {ranks.spearman_path}")
 
 
 if __name__ == "__main__":

@@ -88,9 +88,9 @@ def _cmd_pairwise(args: argparse.Namespace) -> int:
 
 
 def _cmd_uniform_study(args: argparse.Namespace) -> int:
-    rows = run_uniform_study(args.dots, args.cells)
-    path = write_uniform_study_csv(rows, args.out)
-    print(f"rows={len(rows)}")
+    study = run_uniform_study(args.dots, args.cells)
+    path = write_uniform_study_csv(study, args.out)
+    print(f"rows={len(study)}")
     print(f"csv={path}")
     return 0
 
@@ -106,7 +106,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     result = run_rank_comparison(args.dots, args.cells, args.out)
-    print(f"rows={len(result.rows)}")
+    print(f"rows={len(result.study)}")
     print(f"csv={result.out_path}")
     print(f"spearman={result.spearman_path}")
     return 0

@@ -64,24 +64,51 @@ def count_ordered(total: int, cells: int) -> int:
 
 
 def _compositions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
-    if cells == 1:
-        yield (total,)
-        return
-    for first in range(total - cells + 1, 0, -1):
-        for rest in _compositions(total - first, cells - 1):
-            yield (first,) + rest
+    """Compositions in lex-descending order, one successor step at a time.
+
+    The successor of a composition lowers its rightmost non-final part that
+    is above 1 by one unit; the parts after it, all 1 but the last, become
+    the largest tail of the new sum: (last + 1, 1, ..., 1).
+    """
+    parts = [total - cells + 1] + [1] * (cells - 1)
+    while True:
+        yield tuple(parts)
+        j = cells - 2
+        while j >= 0 and parts[j] == 1:
+            j -= 1
+        if j < 0:
+            return
+        parts[j] -= 1
+        last = parts[-1]
+        parts[-1] = 1
+        parts[j + 1] = last + 1
 
 
-def _partitions(total: int, cells: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if cells == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    # smallest admissible lead part keeps the tail non-increasing and positive
-    low = -(-total // cells)
-    for first in range(min(cap, total - cells + 1), low - 1, -1):
-        for rest in _partitions(total - first, cells - 1, first):
-            yield (first,) + rest
+def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
+    """Partitions into exactly cells parts in lex-descending order.
+
+    The successor lowers by one the rightmost part whose tail, one unit
+    larger, still fits under it; the tail is then refilled greedily, each
+    part as large as the lowered part and the positive parts after it
+    allow (after Knuth, TAOCP 4A, 7.2.1.4).
+    """
+    parts = [total - cells + 1] + [1] * (cells - 1)
+    while True:
+        yield tuple(parts)
+        j = cells - 2
+        tail = parts[-1]
+        while j >= 0 and tail + 1 > (cells - 1 - j) * (parts[j] - 1):
+            tail += parts[j]
+            j -= 1
+        if j < 0:
+            return
+        parts[j] -= 1
+        cap = parts[j]
+        left = tail + 1
+        for i in range(j + 1, cells):
+            part = min(cap, left - (cells - 1 - i))
+            parts[i] = part
+            left -= part
 
 
 def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]:
@@ -94,5 +121,5 @@ def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]
 def enumerate_ordered(total: int, cells: int) -> Iterator[OrderedQuantumDistribution]:
     """Yield every ordered quantum distribution once, lex-descending."""
     _check(total, cells)
-    for parts in _partitions(total, cells, total):
+    for parts in _partitions(total, cells):
         yield OrderedQuantumDistribution(parts)

@@ -5,7 +5,7 @@ fixed-point reals, LF line endings, UTF-8. Every value comes from one call
 of divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
 
-Convention note: the uniform-study pipeline (study rows, tables, ranks)
+Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
 form the summary tables are defined over. Rankings are unaffected (squaring
 is monotone on [0, 1]). The pairwise sweep reports the unsquared distance,
@@ -43,24 +43,25 @@ class ExperimentRecord:
 
 
 @dataclass
-class UniformStudyRow:
-    """One ordered distribution compared against the uniform background.
+class UniformStudy:
+    """Every ordered distribution of one domain against the uniform one.
 
-    Asymmetric measures put the enumerated distribution first:
-    kl(P, uniform) and kn(P, uniform). hellinger holds the squared form
-    (see module docstring). ranks are ascending-by-value with average ties.
+    values maps each of TABLE_MEASURES to its column of floats, in the
+    order of distributions. Asymmetric measures put the enumerated
+    distribution first: kl(P, uniform) and kn(P, uniform). hellinger holds
+    the squared form (see module docstring). Ranks are computed on demand,
+    by the writers that print or correlate them.
     """
 
-    distribution: OrderedQuantumDistribution
-    kn: float
-    kl: float
-    jsd: float
-    hellinger: float
-    jaccard: float
-    ranks: dict[str, float]
+    distributions: list[OrderedQuantumDistribution]
+    values: dict[str, list[float]]
 
-    def value(self, measure: str) -> float:
-        return getattr(self, measure)
+    def __len__(self) -> int:
+        return len(self.distributions)
+
+    def ranks(self) -> dict[str, list[float]]:
+        """Each measure's ranks, ascending by value with average ties."""
+        return {m: fractional_ranks(self.values[m]).tolist() for m in TABLE_MEASURES}
 
 
 @dataclass
@@ -82,7 +83,7 @@ class PairwiseResult:
 
 @dataclass
 class RankComparisonResult:
-    rows: list[UniformStudyRow]
+    study: UniformStudy
     spearman: dict[tuple[str, str], float]
     out_path: Path
     spearman_path: Path
@@ -170,8 +171,8 @@ def run_pairwise_experiment(
     )
 
 
-def run_uniform_study(total: int, cells: int) -> list[UniformStudyRow]:
-    """Every ordered distribution against the uniform one, with ranks.
+def run_uniform_study(total: int, cells: int) -> UniformStudy:
+    """Every ordered distribution against the uniform one, as measure columns.
 
     Requires cells to divide total so the uniform distribution exists on
     the same quantum.
@@ -180,18 +181,14 @@ def run_uniform_study(total: int, cells: int) -> list[UniformStudyRow]:
     if total % cells != 0:
         raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
     dists = list(enumerate_ordered(total, cells))
-    values = measures([p.multiplicities for p in dists], [(total // cells,) * cells], total)
-    # TABLE_MEASURES order, which is also the order of the row's value fields;
+    kernel = measures([p.multiplicities for p in dists], [(total // cells,) * cells], total)
+    kernel["hellinger"] = kernel.pop("hellinger_squared")
     # pop frees each array once its column of floats exists
-    columns = [values.pop(k)[:, 0].tolist() for k in ("kn", "kl", "jsd", "hellinger_squared", "jaccard")]
-    rows = [UniformStudyRow(p, *measured, {}) for p, *measured in zip(dists, *columns)]
-    for measure, column in zip(TABLE_MEASURES, columns):
-        for row, rank in zip(rows, fractional_ranks(column)):
-            row.ranks[measure] = float(rank)
-    return rows
+    return UniformStudy(dists, {m: kernel.pop(m)[:, 0].tolist() for m in TABLE_MEASURES})
 
 
-def write_uniform_study_csv(rows: list[UniformStudyRow], out_path: str | Path) -> Path:
+def write_uniform_study_csv(study: UniformStudy, out_path: str | Path) -> Path:
+    """One row per distribution: its values, properties and ranks."""
     out_path = Path(out_path)
     header = (
         "distribution,kn,kl,jsd,hellinger,jaccard,"
@@ -199,16 +196,16 @@ def write_uniform_study_csv(rows: list[UniformStudyRow], out_path: str | Path) -
         "rank_kn,rank_kl,rank_jsd,rank_hellinger,rank_jaccard"
     )
     lines = [header]
-    for row in rows:
-        props = distribution_properties(row.distribution)
+    ranks = study.ranks()
+    for i, p in enumerate(study.distributions):
+        props = distribution_properties(p)
         skew = _f6(props.skewness) if props.skewness is not None else ""
         kurt = _f6(props.excess_kurtosis) if props.excess_kurtosis is not None else ""
-        ranks = ",".join(f"{row.ranks[m]:.1f}" for m in TABLE_MEASURES)
+        measured = ",".join(_f6(study.values[m][i]) for m in TABLE_MEASURES)
+        ranked = ",".join(f"{ranks[m][i]:.1f}" for m in TABLE_MEASURES)
         lines.append(
-            f'"{format_distribution(row.distribution)}",'
-            f"{_f6(row.kn)},{_f6(row.kl)},{_f6(row.jsd)},"
-            f"{_f6(row.hellinger)},{_f6(row.jaccard)},"
-            f"{_f6(props.entropy)},{_f6(props.cv)},{skew},{kurt},{ranks}"
+            f'"{format_distribution(p)}",{measured},'
+            f"{_f6(props.entropy)},{_f6(props.cv)},{skew},{kurt},{ranked}"
         )
     _write_text(out_path, lines)
     return out_path
@@ -236,25 +233,18 @@ def emit_tables(
     for cells in cells_range:
         for mult in dots_multipliers:
             dots = cells * mult
-            rows = run_uniform_study(dots, cells)
-            maxima = {}
-            ratios = {}
+            study = run_uniform_study(dots, cells)
+            maxima = {m: max(values) for m, values in study.values.items()}
+            ratios = {
+                m: (sum(values) / len(values)) / maxima[m] if maxima[m] else 0.0
+                for m, values in study.values.items()
+            }
             for m in TABLE_MEASURES:
-                values = [row.value(m) for row in rows]
-                vmax = max(values)
-                maxima[m] = vmax
-                ratios[m] = (sum(values) / len(values)) / vmax if vmax else 0.0
                 ratio_acc[m].append(ratios[m])
-                records.append(ExperimentRecord(cells, dots, m, "max", vmax))
-                records.append(
-                    ExperimentRecord(cells, dots, m, "mean_over_max", ratios[m])
-                )
-            t1_lines.append(
-                f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES)
-            )
-            t2_lines.append(
-                f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES)
-            )
+                records.append(ExperimentRecord(cells, dots, m, "max", maxima[m]))
+                records.append(ExperimentRecord(cells, dots, m, "mean_over_max", ratios[m]))
+            t1_lines.append(f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES))
+            t2_lines.append(f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES))
     t2_lines.append(
         "avg,,"
         + ",".join(_f6(sum(ratio_acc[m]) / len(ratio_acc[m])) for m in TABLE_MEASURES)
@@ -267,30 +257,38 @@ def emit_tables(
 def run_rank_comparison(
     total: int, cells: int, out_path: str | Path
 ) -> RankComparisonResult:
-    """Per-measure ranks plus the full Spearman matrix between measures."""
+    """Per-measure ranks plus the full Spearman matrix between measures.
+
+    An undefined coefficient (one distribution) leaves its matrix cell empty
+    and its key out of spearman.
+    """
     out_path = Path(out_path)
-    rows = run_uniform_study(total, cells)
+    study = run_uniform_study(total, cells)
+    ranks = study.ranks()
     lines = ["distribution," + ",".join(f"rank_{m}" for m in TABLE_MEASURES)]
-    for row in rows:
-        ranks = ",".join(f"{row.ranks[m]:.1f}" for m in TABLE_MEASURES)
-        lines.append(f'"{format_distribution(row.distribution)}",{ranks}')
+    for i, p in enumerate(study.distributions):
+        ranked = ",".join(f"{ranks[m][i]:.1f}" for m in TABLE_MEASURES)
+        lines.append(f'"{format_distribution(p)}",{ranked}')
     _write_text(out_path, lines)
 
-    # spearman is pearson on fractional ranks, which the rows already carry
-    ranks = {m: [row.ranks[m] for row in rows] for m in TABLE_MEASURES}
+    # spearman is pearson on fractional ranks
     coefficients: dict[tuple[str, str], float] = {}
     matrix_lines = ["measure," + ",".join(TABLE_MEASURES)]
     for a in TABLE_MEASURES:
         entries = []
         for b in TABLE_MEASURES:
-            rho = pearson(ranks[a], ranks[b])
+            try:
+                rho = pearson(ranks[a], ranks[b])
+            except DegenerateInput:
+                entries.append("")
+                continue
             coefficients[(a, b)] = rho
             entries.append(_f6(rho))
         matrix_lines.append(f"{a}," + ",".join(entries))
     spearman_path = out_path.with_name(out_path.stem + "_spearman" + out_path.suffix)
     _write_text(spearman_path, matrix_lines)
     return RankComparisonResult(
-        rows=rows,
+        study=study,
         spearman=coefficients,
         out_path=out_path,
         spearman_path=spearman_path,

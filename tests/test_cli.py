@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdiv
 from qdiv.cli import main
@@ -172,6 +177,29 @@ class TestExperimentCommands:
         assert out_csv.exists()
         assert (tmp_path / "ranks_spearman.csv").exists()
 
+    @pytest.mark.parametrize("cells", ["4", "1"])
+    def test_rank_one_distribution(self, capsys, tmp_path, cells):
+        out_csv = tmp_path / "ranks.csv"
+        code, out, err = run(
+            capsys, "rank", "--dots", "4", "--cells", cells, "--out", str(out_csv)
+        )
+        assert code == 0, err
+        assert out == ["rows=1", f"csv={out_csv}", f"spearman={tmp_path / 'ranks_spearman.csv'}"]
+        assert (tmp_path / "ranks_spearman.csv").exists()
+
+
+class TestDeepDomains:
+    @pytest.mark.parametrize("command", ["uniform-study", "verify", "rank"])
+    def test_one_distribution_per_cell(self, tmp_path, command):
+        # 1100 parts once meant 1100 nested generator frames
+        argv = [command, "--dots", "1100", "--cells", "1100"]
+        if command != "verify":
+            argv += ["--out", "o.csv"]
+        proc = run_fresh(tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[0] in ("rows=1", "checked=1")
+
 
 class TestUsageErrors:
     def test_missing_subcommand_exits_two(self, capsys):
@@ -203,3 +231,65 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+# Hostile argument values for every subcommand. Domains stay small, or deep
+# but trivial (one distribution), so that every example runs in milliseconds.
+NUMBER = st.integers(-3, 10).map(str) | st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10"])
+DEEP = st.integers(1000, 5000).flatmap(lambda k: st.sampled_from([(k, k), (k, 1)]))
+DOMAIN = st.tuples(NUMBER, NUMBER) | DEEP.map(lambda d: tuple(map(str, d)))
+MULTIPLICITIES = st.sampled_from(
+    ["", ",", "0", "-1,2", "a,b", "1,,1", "1.5,2", " 3 , 2 ", "2,1,1", "9" * 30 + ",1",
+     ",".join(["1"] * 1100), "9" * 5000]
+) | st.lists(st.integers(-1, 5), min_size=1, max_size=6).map(lambda ks: ",".join(map(str, ks)))
+BUDGET = st.integers(-5, 5).map(str) | st.sampled_from(["10000000", "x"])
+OUT = st.sampled_from(["{tmp}/o.csv", "{tmp}/missing/o.csv", "{tmp}/", "{tmp}/file"])
+TABLE_GRID = st.tuples(
+    st.sampled_from(["", "0..1", "3..2", "-2..3", "a..b", "2..3", "1,2,,4"]),
+    st.sampled_from(["", "0", "-1", "x", "1", "2,3"]),
+) | st.sampled_from([("1100", "1"), ("1", "1100")])
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(
+        ["count", "compare", "maximize", "verify", "pairwise", "uniform-study", "tables", "rank"]
+    ))
+    argv = [command]
+    if command in ("compare", "maximize"):
+        argv += ["--p", draw(MULTIPLICITIES)]
+        if command == "compare":
+            argv += ["--q", draw(MULTIPLICITIES)]
+            argv += draw(st.sampled_from([[], ["--rescale"], ["--measure", "kn"]]))
+        return argv
+    if command == "tables":
+        cells, multipliers = draw(TABLE_GRID)
+        return argv + ["--cells", cells, "--multipliers", multipliers, "--out-dir", draw(OUT)]
+    dots, cells = draw(DOMAIN)
+    argv += ["--dots", dots, "--cells", cells]
+    if command == "count":
+        return argv
+    if command in ("verify", "pairwise"):
+        argv += ["--budget", draw(BUDGET)]
+    if command != "verify":
+        argv += ["--out", draw(OUT)]
+    return argv
+
+
+@given(hostile_argv())
+@example(["uniform-study", "--dots", "1100", "--cells", "1100", "--out", "{tmp}/u.csv"])
+@example(["verify", "--dots", "1100", "--cells", "1100"])
+@example(["rank", "--dots", "1100", "--cells", "1100", "--out", "{tmp}/r.csv"])
+@settings(max_examples=300, deadline=None)
+def test_hostile_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "file").write_text("", encoding="utf-8")
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, err.getvalue()

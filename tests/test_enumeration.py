@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -56,6 +57,30 @@ def test_enumeration_is_lex_descending():
         tuples = [d.multiplicities for d in items]
         assert tuples == sorted(tuples, reverse=True)
         assert len(set(tuples)) == len(tuples)
+
+
+@pytest.mark.parametrize(
+    "total, cells", [(1, 1), (5, 1), (5, 5), (6, 2), (9, 3), (10, 4), (12, 4), (11, 5)]
+)
+def test_enumeration_matches_brute_force(total, cells):
+    compositions = sorted(
+        (c for c in itertools.product(range(1, total + 1), repeat=cells) if sum(c) == total),
+        reverse=True,
+    )
+    partitions = [c for c in compositions if list(c) == sorted(c, reverse=True)]
+    assert [d.multiplicities for d in enumerate_unordered(total, cells)] == compositions
+    assert [d.multiplicities for d in enumerate_ordered(total, cells)] == partitions
+
+
+def test_deep_domains_need_no_recursion():
+    # one part per level of recursion once overflowed the interpreter stack
+    assert [d.multiplicities for d in enumerate_ordered(1100, 1100)] == [(1,) * 1100]
+    assert [d.multiplicities for d in enumerate_unordered(1100, 1100)] == [(1,) * 1100]
+    first, second = itertools.islice(enumerate_unordered(3000, 2000), 2)
+    assert first.multiplicities == (1001,) + (1,) * 1999
+    assert second.multiplicities == (1000, 2) + (1,) * 1998
+    first, second = itertools.islice(enumerate_ordered(3000, 2000), 2)
+    assert second.multiplicities == (1000, 2) + (1,) * 1998
 
 
 def test_ordered_yields_ordered_type():

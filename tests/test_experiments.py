@@ -12,6 +12,7 @@ from qdiv import (
     emit_tables,
     enumerate_ordered,
     enumerate_unordered,
+    fractional_ranks,
     from_multiplicities,
     hellinger,
     hellinger_squared,
@@ -24,6 +25,7 @@ from qdiv import (
     run_uniform_study,
     write_uniform_study_csv,
 )
+from qdiv import experiments
 
 PAIRWISE_HEADER = "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
 
@@ -125,57 +127,66 @@ class TestPairwise:
         assert result.correlations == {}
 
 
+MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
+
+
 class TestUniformStudy:
     def test_requires_divisible_total(self):
         with pytest.raises(NonUniformCapable):
             run_uniform_study(13, 5)
 
     def test_row_count_and_order(self):
-        rows = run_uniform_study(12, 6)
-        assert len(rows) == 11
-        assert rows[0].distribution.multiplicities == (7, 1, 1, 1, 1, 1)
-        assert rows[-1].distribution.multiplicities == (2, 2, 2, 2, 2, 2)
+        study = run_uniform_study(12, 6)
+        assert len(study) == 11
+        assert study.distributions[0].multiplicities == (7, 1, 1, 1, 1, 1)
+        assert study.distributions[-1].multiplicities == (2, 2, 2, 2, 2, 2)
+        assert list(study.values) == list(MEASURES)
+        for column in study.values.values():
+            assert len(column) == 11
+            assert all(type(v) is float for v in column)
 
     def test_uniform_row_is_zero_and_rank_one(self):
-        rows = run_uniform_study(12, 6)
-        uniform_row = rows[-1]
-        assert uniform_row.distribution.is_uniform()
-        for measure in ("kn", "kl", "jsd", "hellinger", "jaccard"):
-            assert uniform_row.value(measure) == 0.0
-            assert uniform_row.ranks[measure] == 1.0
+        study = run_uniform_study(12, 6)
+        ranks = study.ranks()
+        assert study.distributions[-1].is_uniform()
+        for measure in MEASURES:
+            assert study.values[measure][-1] == 0.0
+            assert ranks[measure][-1] == 1.0
 
     def test_hellinger_column_is_squared_form(self):
         uniform = from_multiplicities([2] * 6)
-        for row in run_uniform_study(12, 6):
-            assert row.hellinger == hellinger_squared(row.distribution, uniform)
-            assert row.kl == kl(row.distribution, uniform)
+        study = run_uniform_study(12, 6)
+        for i, p in enumerate(study.distributions):
+            assert study.values["hellinger"][i] == hellinger_squared(p, uniform)
+            assert study.values["kl"][i] == kl(p, uniform)
 
     def test_rows_equal_scalar_measures(self):
         uniform = from_multiplicities([4] * 8)
         scalar = {
             "kn": kn, "kl": kl, "jsd": jsd, "hellinger": hellinger_squared, "jaccard": jaccard_distance
         }
-        for row in run_uniform_study(32, 8):
-            for name, fn in scalar.items():
-                assert row.value(name) == fn(row.distribution, uniform), (row.distribution, name)
+        study = run_uniform_study(32, 8)
+        for name, fn in scalar.items():
+            expected = [fn(p, uniform) for p in study.distributions]
+            assert study.values[name] == expected, name
 
     def test_properties_attached(self, tmp_path):
-        rows = run_uniform_study(12, 6)
-        path = write_uniform_study_csv(rows, tmp_path / "study.csv")
+        study = run_uniform_study(12, 6)
+        path = write_uniform_study_csv(study, tmp_path / "study.csv")
         with open(path, encoding="utf-8", newline="") as fh:
             records = list(csv.DictReader(fh))
-        assert len(records) == len(rows)
+        assert len(records) == len(study)
         columns = ("entropy", "cv", "skewness", "excess_kurtosis")
-        for row, record in zip(rows, records):
-            assert record["distribution"] == ",".join(map(str, row.distribution.multiplicities))
-            props = distribution_properties(row.distribution)
+        for p, record in zip(study.distributions, records):
+            assert record["distribution"] == ",".join(map(str, p.multiplicities))
+            props = distribution_properties(p)
             expected = (props.entropy, props.cv, props.skewness, props.excess_kurtosis)
             for column, value in zip(columns, expected):
                 assert record[column] == ("" if value is None else f"{value:.6f}"), column
 
     def test_csv_layout(self, tmp_path):
-        rows = run_uniform_study(12, 6)
-        path = write_uniform_study_csv(rows, tmp_path / "study.csv")
+        study = run_uniform_study(12, 6)
+        path = write_uniform_study_csv(study, tmp_path / "study.csv")
         lines = read_lines(path)
         assert lines[0].startswith("distribution,kn,kl,jsd,hellinger,jaccard,entropy,cv,")
         assert lines[1].startswith('"7,1,1,1,1,1",')
@@ -190,8 +201,7 @@ class TestTables:
         records = emit_tables((6, 7), (2, 3), tmp_path)
         assert len(records) == 2 * 2 * 5 * 2
         stats = {(r.cells, r.dots, r.measure, r.statistic): r.value for r in records}
-        rows = run_uniform_study(12, 6)
-        values = [row.kn for row in rows]
+        values = run_uniform_study(12, 6).values["kn"]
         assert stats[(6, 12, "kn", "max")] == pytest.approx(max(values), abs=1e-12)
         assert stats[(6, 12, "kn", "mean_over_max")] == pytest.approx(
             (sum(values) / len(values)) / max(values), abs=1e-12
@@ -201,6 +211,15 @@ class TestTables:
         assert t1[0] == t2[0] == "cells,dots,kn,kl,jsd,hellinger,jaccard"
         assert len(t1) == 1 + 4
         assert len(t2) == 1 + 4 + 1
+
+    def test_ranks_nothing(self, tmp_path, monkeypatch):
+        # the tables read values only; ranking every column cost 5 calls a domain
+        calls = []
+        monkeypatch.setattr(
+            experiments, "fractional_ranks", lambda v: calls.append(1) or fractional_ranks(v)
+        )
+        emit_tables((6, 7), (2, 3), tmp_path)
+        assert calls == []
 
     def test_average_row_is_column_mean(self, tmp_path):
         emit_tables((6, 7), (2, 3), tmp_path)
@@ -230,27 +249,26 @@ class TestTableSweepInvariants:
 
 class TestReferenceUniformStudy:
     def test_extreme_row(self):
-        rows = run_uniform_study(32, 8)
-        assert len(rows) == 919
-        top = max(rows, key=lambda row: row.kn)
-        assert top.distribution.multiplicities == (25, 1, 1, 1, 1, 1, 1, 1)
-        assert top.kn == pytest.approx(0.4672, abs=1e-3)
+        study = run_uniform_study(32, 8)
+        assert len(study) == 919
+        top = max(range(len(study)), key=study.values["kn"].__getitem__)
+        assert study.distributions[top].multiplicities == (25, 1, 1, 1, 1, 1, 1, 1)
+        assert study.values["kn"][top] == pytest.approx(0.4672, abs=1e-3)
         for measure in ("kl", "jsd", "hellinger", "jaccard"):
-            assert max(rows, key=lambda row: row.value(measure)) is top
+            column = study.values[measure]
+            assert max(range(len(study)), key=column.__getitem__) == top
 
     def test_rank_sums_preserved_under_ties(self):
-        rows = run_uniform_study(12, 6)
-        n = len(rows)
-        for measure in ("kn", "kl", "jsd", "hellinger", "jaccard"):
-            assert sum(row.ranks[measure] for row in rows) == pytest.approx(
-                n * (n + 1) / 2, abs=1e-9
-            )
+        study = run_uniform_study(12, 6)
+        n = len(study)
+        for measure, ranks in study.ranks().items():
+            assert sum(ranks) == pytest.approx(n * (n + 1) / 2, abs=1e-9)
 
 
 class TestRankComparison:
     def test_outputs(self, tmp_path):
         result = run_rank_comparison(12, 6, tmp_path / "ranks.csv")
-        assert len(result.rows) == 11
+        assert len(result.study) == 11
         lines = read_lines(result.out_path)
         assert lines[0] == "distribution,rank_kn,rank_kl,rank_jsd,rank_hellinger,rank_jaccard"
         assert len(lines) == 12
@@ -260,11 +278,20 @@ class TestRankComparison:
 
     def test_spearman_matrix_properties(self, tmp_path):
         result = run_rank_comparison(12, 6, tmp_path / "ranks.csv")
-        measures = ("kn", "kl", "jsd", "hellinger", "jaccard")
-        for a in measures:
+        for a in MEASURES:
             assert result.spearman[(a, a)] == pytest.approx(1.0, abs=1e-12)
-            for b in measures:
+            for b in MEASURES:
                 assert result.spearman[(a, b)] == pytest.approx(
                     result.spearman[(b, a)], abs=1e-12
                 )
                 assert -1.0 - 1e-12 <= result.spearman[(a, b)] <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("total, cells", [(4, 4), (4, 1)])
+    def test_one_distribution_leaves_spearman_empty(self, tmp_path, total, cells):
+        result = run_rank_comparison(total, cells, tmp_path / "ranks.csv")
+        assert len(result.study) == 1
+        assert result.spearman == {}
+        assert read_lines(result.out_path)[1].endswith(",1.0,1.0,1.0,1.0,1.0")
+        matrix = read_lines(result.spearman_path)
+        assert matrix[0] == "measure,kn,kl,jsd,hellinger,jaccard"
+        assert matrix[1:] == [f"{m},,,,," for m in MEASURES]
