@@ -10,6 +10,7 @@ import argparse
 from pathlib import Path
 
 from qdiv import (
+    MEASURE_LABELS,
     emit_tables,
     run_pairwise_experiment,
     run_rank_comparison,
@@ -32,8 +33,11 @@ def main() -> None:
     path = write_uniform_study_csv(study, out / "uniform_32_8.csv")
     print(f"uniform study: {len(study)} rows -> {path}")
 
-    records = emit_tables(range(6, 11), (2, 3, 4, 5), out)
-    print(f"tables: {len(records)} records -> {out / 'table1.csv'}, {out / 'table2.csv'}")
+    cells, multipliers = range(6, 11), (2, 3, 4, 5)
+    table1, table2 = emit_tables(cells, multipliers, out)
+    # one max and one mean/max record per measure and (cells, dots) domain
+    records = 2 * len(MEASURE_LABELS) * len(cells) * len(multipliers)
+    print(f"tables: {records} records -> {table1}, {table2}")
 
     ranks = run_rank_comparison(32, 8, out / "ranks_32_8.csv")
     print(f"ranks: {len(ranks.study)} rows -> {ranks.out_path}, {ranks.spearman_path}")

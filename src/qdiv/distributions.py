@@ -48,27 +48,15 @@ class QuantumDistribution:
         return len(self.multiplicities)
 
     @property
-    def quantum(self) -> float:
-        """The unit fraction 1/M all probabilities are multiples of."""
-        return 1.0 / self.total
-
-    @property
     def probabilities(self) -> tuple[float, ...]:
         m = self.total
         return tuple(k / m for k in self.multiplicities)
-
-    def probability(self, cell: int) -> float:
-        """Probability of a single 0-based cell index."""
-        return self.multiplicities[cell] / self.total
 
     def ordered(self) -> "OrderedQuantumDistribution":
         """The non-increasing representative of this distribution's class."""
         return OrderedQuantumDistribution(
             tuple(sorted(self.multiplicities, reverse=True))
         )
-
-    def is_uniform(self) -> bool:
-        return min(self.multiplicities) == max(self.multiplicities)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantumDistribution):

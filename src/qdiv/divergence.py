@@ -2,8 +2,8 @@
 
 All logarithms are base 2, so divergences are in bits. Asymmetric measures
 require both arguments to share one quantum 1/M; callers holding
-distributions with different totals rescale first (see all_measures with
-rescale=True, or distributions.make_comparable).
+distributions with different totals rescale first with
+distributions.make_comparable.
 
 The centerpiece is kn(), a KL divergence normalized into [0, 1] by dividing
 by the largest KL value any same-quantum zero-free distribution can achieve
@@ -19,18 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import QuantumDistribution, make_comparable
-from .errors import DegenerateNormalizer, DomainMismatch, QuantumMismatch
+from .distributions import QuantumDistribution
+from .errors import BudgetExceeded, DomainMismatch, QuantumMismatch
 
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """One labeled measure result."""
-
-    measure: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -54,17 +46,9 @@ def _check_cells(p: QuantumDistribution, q: QuantumDistribution) -> None:
         )
 
 
-def _check_quantum(p: QuantumDistribution, q: QuantumDistribution) -> None:
-    if p.total != q.total:
-        raise QuantumMismatch(
-            f"totals differ ({p.total} vs {q.total}); rescale to a common "
-            "quantum first"
-        )
-
-
 # Per-cell terms of kl, jsd and hellinger_squared for multiplicities kp, kq
-# on the quantum 1/m. The scalar loops and measures() both evaluate these,
-# so the two agree bit for bit.
+# on the quantum 1/m. _cell_sum and measures() both evaluate these, so the
+# scalar functions and the kernel agree bit for bit.
 def _kl_term(kp: int, kq: int, m: int) -> float:
     return (kp / m) * math.log2(kp / kq)
 
@@ -81,19 +65,28 @@ def _hellinger_term(kp: int, kq: int, m: int) -> float:
     return d * d
 
 
+def _cell_sum(p: QuantumDistribution, q: QuantumDistribution, term) -> float:
+    """term over each cell of a same-quantum pair, added left to right."""
+    _check_cells(p, q)
+    if p.total != q.total:
+        raise QuantumMismatch(
+            f"totals differ ({p.total} vs {q.total}); rescale to a common "
+            "quantum first"
+        )
+    m = p.total
+    total = 0.0
+    for kp, kq in zip(p.multiplicities, q.multiplicities):
+        total += term(kp, kq, m)
+    return total
+
+
 def kl(p: QuantumDistribution, q: QuantumDistribution) -> float:
     """Kullback-Leibler divergence of p from q in bits.
 
     Non-negative, zero exactly when the distributions are equal. Finite for
     every valid pair because quantum distributions have no zero cells.
     """
-    _check_cells(p, q)
-    _check_quantum(p, q)
-    m = p.total
-    total = 0.0
-    for kp, kq in zip(p.multiplicities, q.multiplicities):
-        total += _kl_term(kp, kq, m)
-    return total
+    return _cell_sum(p, q, _kl_term)
 
 
 def build_maximizer(p: QuantumDistribution) -> MaximizerResult:
@@ -116,21 +109,13 @@ def build_maximizer(p: QuantumDistribution) -> MaximizerResult:
 def kn(p: QuantumDistribution, q: QuantumDistribution) -> float:
     """Normalized KL divergence: kl(p, q) / kl(p, maximizer(p)), in [0, 1].
 
-    Equal inputs return 0 by the continuity convention 0/0 -> 0, which also
-    covers the total = cells case where only one distribution exists and the
-    normalizer is 0.
+    Equal inputs return 0 by the continuity convention 0/0 -> 0. That also
+    covers the domains with one distribution (total == cells or cells == 1),
+    the only ones where the normalizer is 0. kl checks the pair first.
     """
-    _check_cells(p, q)
-    _check_quantum(p, q)
     if p == q:
         return 0.0
-    denom = build_maximizer(p).max_divergence
-    if denom == 0.0:
-        raise DegenerateNormalizer(
-            "zero maximal divergence for distinct inputs; inputs are not "
-            "valid same-quantum distributions"
-        )
-    return kl(p, q) / denom
+    return kl(p, q) / build_maximizer(p).max_divergence
 
 
 def jsd(p: QuantumDistribution, q: QuantumDistribution) -> float:
@@ -139,13 +124,7 @@ def jsd(p: QuantumDistribution, q: QuantumDistribution) -> float:
     Symmetric, bounded by 1 in base 2. The mixture lives on the common
     quantum 1/(2M) and never needs materializing as a distribution.
     """
-    _check_cells(p, q)
-    _check_quantum(p, q)
-    m = p.total
-    total = 0.0
-    for kp, kq in zip(p.multiplicities, q.multiplicities):
-        total += _jsd_term(kp, kq, m)
-    return 0.5 * total
+    return 0.5 * _cell_sum(p, q, _jsd_term)
 
 
 def hellinger_squared(p: QuantumDistribution, q: QuantumDistribution) -> float:
@@ -154,13 +133,7 @@ def hellinger_squared(p: QuantumDistribution, q: QuantumDistribution) -> float:
     Algebraically equal to 1 - sum(sqrt(P_i Q_i)); the difference form is
     used because it is exactly zero on equal inputs and never negative.
     """
-    _check_cells(p, q)
-    _check_quantum(p, q)
-    m = p.total
-    total = 0.0
-    for kp, kq in zip(p.multiplicities, q.multiplicities):
-        total += _hellinger_term(kp, kq, m)
-    return 0.5 * total
+    return 0.5 * _cell_sum(p, q, _hellinger_term)
 
 
 def hellinger(p: QuantumDistribution, q: QuantumDistribution) -> float:
@@ -187,6 +160,13 @@ def jaccard_distance(p: QuantumDistribution, q: QuantumDistribution) -> float:
     return 1.0 - mins / maxs
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    # sorted distinct entries; np.unique would import numpy.ma (over 1 MB) and
+    # np.bincount would allocate an entry for every integer up to the largest count
+    s = np.sort(values, axis=None)
+    return s[np.append(True, s[1:] != s[:-1])]
+
+
 def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     """Every measure between each row of counts_p and each row of counts_q.
 
@@ -195,7 +175,11 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     jaccard equal bit for bit to the scalar functions: the same _*_term
     functions give each distinct (kp, kq) term, cells add left to right, and
     kn divides by kl against build_maximizer's opponent (first minimal cell).
+    Counts are int64, so a total whose double (the jaccard denominator) does
+    not fit raises BudgetExceeded.
     """
+    if 2 * total > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"total {total} is too large for int64 counts (2 * total must fit)")
     cp = np.asarray(counts_p, dtype=np.int64)
     cq = np.asarray(counts_q, dtype=np.int64)
     a, n = cp.shape
@@ -205,9 +189,8 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
         raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
     block = total - n + 1
     opponent = np.where(np.arange(n) == cp.argmin(axis=1)[:, None], block, 1)
-    # sorted distinct counts; np.unique would import numpy.ma, over 1 MB
-    kp_values = np.flatnonzero(np.bincount(cp.ravel()))
-    kq_values = np.flatnonzero(np.bincount(np.append(cq.ravel(), (1, block))))
+    kp_values = _distinct(cp)
+    kq_values = _distinct(np.append(cq, (1, block)))
     kl_t, jsd_t, he_t = (
         np.array([[term(kp, kq, total) for kq in kq_values.tolist()]
                   for kp in kp_values.tolist()])
@@ -218,7 +201,7 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
         # sum() starts at 0 and adds cell 0, 1, ... in turn, as the loops do
         return sum(table[rows[..., c], cols[..., c]] for c in range(n))
     kl_max = cell_sum(kl_t, pi, np.searchsorted(kq_values, opponent))
-    kl_max[kl_max == 0.0] = 1.0  # total == cells: the one pair is p == q, kl 0
+    kl_max[kl_max == 0.0] = 1.0  # one distribution (total == cells or cells == 1): kl 0
     out = {m: np.empty((a, len(cq))) for m in ("kl", "kn", "jsd", "hellinger_squared", "jaccard")}
     step = max(1, (1 << 16) // len(cq))  # keeps each temporary near 2**16 entries
     for start in range(0, a, step):
@@ -232,17 +215,3 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
         out["jaccard"][rows] = 1.0 - mins / (2 * total - mins)
     return out
 
-
-def all_measures(
-    p: QuantumDistribution, q: QuantumDistribution, rescale: bool = False
-) -> list[MeasureValue]:
-    """Every measure for one pair, optionally rescaling to a common quantum."""
-    if rescale:
-        p, q = make_comparable(p, q)
-    return [
-        MeasureValue("kl", kl(p, q)),
-        MeasureValue("kn", kn(p, q)),
-        MeasureValue("jsd", jsd(p, q)),
-        MeasureValue("hellinger", hellinger(p, q)),
-        MeasureValue("jaccard", jaccard_distance(p, q)),
-    ]

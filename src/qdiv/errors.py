@@ -27,14 +27,6 @@ class QuantumMismatch(ValueError):
     """Two distributions with different totals were compared without rescaling."""
 
 
-class DegenerateNormalizer(ValueError):
-    """The KN denominator is zero for distinct inputs.
-
-    Unreachable for valid quantum distributions (total = cells forces a
-    single possible distribution); kept as a defensive signal.
-    """
-
-
 class DegenerateInput(ValueError):
     """A correlation was requested on vectors it is undefined for."""
 

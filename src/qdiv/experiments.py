@@ -31,17 +31,6 @@ TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 DEFAULT_PAIR_BUDGET = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One (cells, dots, measure, statistic) cell of a summary table."""
-
-    cells: int
-    dots: int
-    measure: str
-    statistic: str
-    value: float
-
-
 @dataclass
 class UniformStudy:
     """Every ordered distribution of one domain against the uniform one.
@@ -71,8 +60,6 @@ class PairwiseResult:
     values maps each measure to its full N*N column in row-major pair order.
     """
 
-    total: int
-    cells: int
     rows_written: int
     correlations: dict[tuple[str, str], float]
     gaps: dict[str, GapStats]
@@ -160,8 +147,6 @@ def run_pairwise_experiment(
     _write_text(summary_path, summary)
 
     return PairwiseResult(
-        total=total,
-        cells=cells,
         rows_written=pairs,
         correlations=correlations,
         gaps=gaps,
@@ -215,21 +200,21 @@ def emit_tables(
     cells_range: Sequence[int],
     dots_multipliers: Sequence[int],
     out_dir: str | Path,
-) -> list[ExperimentRecord]:
+) -> tuple[Path, Path]:
     """Per-measure maxima (table1.csv) and mean/max ratios (table2.csv).
 
     The mean includes the uniform distribution's own all-zero row. Table 2
-    gains a final average row across all (cells, dots) experiments.
+    gains a final average row across all (cells, dots) experiments. Returns
+    the paths of both tables.
     """
     if not cells_range or not dots_multipliers:
         raise InvalidSpec("tables need at least one cell count and one multiplier")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records: list[ExperimentRecord] = []
     header = "cells,dots," + ",".join(TABLE_MEASURES)
     t1_lines = [header]
     t2_lines = [header]
-    ratio_acc = {m: [] for m in TABLE_MEASURES}
+    all_ratios = []
     for cells in cells_range:
         for mult in dots_multipliers:
             dots = cells * mult
@@ -239,19 +224,15 @@ def emit_tables(
                 m: (sum(values) / len(values)) / maxima[m] if maxima[m] else 0.0
                 for m, values in study.values.items()
             }
-            for m in TABLE_MEASURES:
-                ratio_acc[m].append(ratios[m])
-                records.append(ExperimentRecord(cells, dots, m, "max", maxima[m]))
-                records.append(ExperimentRecord(cells, dots, m, "mean_over_max", ratios[m]))
+            all_ratios.append(ratios)
             t1_lines.append(f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES))
             t2_lines.append(f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES))
-    t2_lines.append(
-        "avg,,"
-        + ",".join(_f6(sum(ratio_acc[m]) / len(ratio_acc[m])) for m in TABLE_MEASURES)
-    )
-    _write_text(out_dir / "table1.csv", t1_lines)
-    _write_text(out_dir / "table2.csv", t2_lines)
-    return records
+    averages = (sum(r[m] for r in all_ratios) / len(all_ratios) for m in TABLE_MEASURES)
+    t2_lines.append("avg,," + ",".join(map(_f6, averages)))
+    table1, table2 = out_dir / "table1.csv", out_dir / "table2.csv"
+    _write_text(table1, t1_lines)
+    _write_text(table2, t2_lines)
+    return table1, table2
 
 
 def run_rank_comparison(

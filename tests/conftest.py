@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from qdiv import emit_tables, run_pairwise_experiment
@@ -11,8 +13,23 @@ def pairwise_15_5(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def table_records(tmp_path_factory):
-    """Summary-table records for cells 6..10, dot multipliers 2..5."""
+def table_values(tmp_path_factory):
+    """Summary tables for cells 6..10, dot multipliers 2..5, read back from
+    table1.csv and table2.csv as {statistic: {(cells, dots, measure): value}}
+    for the statistics "max" and "mean_over_max"; table 2's average row is
+    left out.
+    """
     out_dir = tmp_path_factory.mktemp("tables")
-    records = emit_tables(range(6, 11), (2, 3, 4, 5), out_dir)
-    return records, out_dir
+    values = {}
+    for statistic, path in zip(
+        ("max", "mean_over_max"), emit_tables(range(6, 11), (2, 3, 4, 5), out_dir)
+    ):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["cells"] != "avg"]
+        values[statistic] = {
+            (int(row["cells"]), int(row["dots"]), measure): float(text)
+            for row in rows
+            for measure, text in row.items()
+            if measure not in ("cells", "dots")
+        }
+    return values

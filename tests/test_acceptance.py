@@ -178,13 +178,8 @@ def test_special_case_margin():
     assert min(abs(m - published) for m in margins) > 1e-3
 
 
-def test_reference_maxima_reproduction(table_records):
-    records, _ = table_records
-    computed = {
-        (r.cells, r.dots, r.measure): r.value
-        for r in records
-        if r.statistic == "max"
-    }
+def test_reference_maxima_reproduction(table_values):
+    computed = table_values["max"]
     mismatches = []
     for key, expected_row in REFERENCE_MAXIMA.items():
         for measure, expected in zip(TABLE_MEASURES, expected_row):
@@ -209,13 +204,8 @@ def test_reference_maxima_reproduction(table_records):
         assert kl(p, uniform) / brute == pytest.approx(expected, abs=5e-5), cells
 
 
-def test_reference_spread_reproduction(table_records):
-    records, _ = table_records
-    computed = {
-        (r.cells, r.dots, r.measure): r.value
-        for r in records
-        if r.statistic == "mean_over_max"
-    }
+def test_reference_spread_reproduction(table_values):
+    computed = table_values["mean_over_max"]
     mismatches = []
     for key, expected_row in REFERENCE_SPREAD.items():
         for measure, expected in zip(TABLE_MEASURES, expected_row):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdiv
+from qdiv import (
+    MEASURE_LABELS,
+    hellinger,
+    jaccard_distance,
+    jsd,
+    kl,
+    kn,
+    make_comparable,
+    parse_distribution,
+)
 from qdiv.cli import main
 
 
@@ -82,6 +93,39 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--p", "2,0,1", "--q", "1,1,1")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "p, q, rescale",
+        [
+            ("2,1,1", "1,1,2", False),
+            ("5,3,1,1", "2,2,3,3", False),
+            (f"{10**19},1", f"1,{10**19}", False),
+            ("2,1,1", "3,2,1", True),
+            ("5,3,1,1", "2,2,3,3", True),
+            (f"{2**64},1,{2**63 + 5}", f"3,{2**63},2", True),
+        ],
+        ids=["same-quantum", "same-quantum-4", "past-int64", "rescale", "rescale-noop",
+             "rescale-past-int64"],
+    )
+    def test_lines_equal_scalar_functions(self, capsys, p, q, rescale):
+        # multiplicities past 2**63 stay on the exact-integer scalar path
+        argv = ["compare", "--p", p, "--q", q] + (["--rescale"] if rescale else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        p, q = parse_distribution(p), parse_distribution(q)
+        if rescale:
+            p, q = make_comparable(p, q)
+        measured = (kl, kn, jsd, hellinger, jaccard_distance)
+        assert out == [f"{name}={fn(p, q):.6f}" for name, fn in zip(MEASURE_LABELS, measured)]
+
+    def test_any_failing_measure_prints_nothing(self, capsys):
+        # jaccard alone takes any totals, but compare runs every measure
+        code, out, err = run(
+            capsys, "compare", "--p", "2,1,1", "--q", "3,2,1", "--measure", "jaccard"
+        )
+        assert code == 1
+        assert out == [""]
+        assert "rescale" in err
 
 
 class TestMaximize:
@@ -201,6 +245,34 @@ class TestDeepDomains:
         assert proc.stdout.splitlines()[0] in ("rows=1", "checked=1")
 
 
+class TestHugeSingleCell:
+    # one distribution of k dots: no enumeration work, only the size of k
+    @pytest.mark.parametrize("k", [10**12, 2**62 - 1, 2**62, 5 * 10**18, 10**20, 10**30])
+    @pytest.mark.parametrize("command", ["pairwise", "uniform-study", "rank", "verify", "tables"])
+    def test_exits_zero_or_two(self, capsys, tmp_path, command, k):
+        if command == "tables":
+            argv = [command, "--cells", "1", "--multipliers", str(k), "--out-dir", str(tmp_path)]
+        else:
+            argv = [command, "--dots", str(k), "--cells", "1"]
+            if command != "verify":
+                argv += ["--out", str(tmp_path / "o.csv")]
+        code, _, err = run(capsys, *argv)
+        # the batched kernel's counts are int64: totals of 2**62 and past are
+        # a budget overrun, except for verify's scalar oracle
+        assert code == (2 if k >= 2**62 and command != "verify" else 0), err
+        assert len(err.splitlines()) == (1 if code else 0)
+
+    def test_billion_dots_is_quick(self, capsys, tmp_path):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "uniform-study", "--dots", str(10**9), "--cells", "1",
+            "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 0
+        assert out[0] == "rows=1"
+        assert time.perf_counter() - start < 1.0
+
+
 class TestUsageErrors:
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -237,6 +309,9 @@ class TestNoTraceback:
 # but trivial (one distribution), so that every example runs in milliseconds.
 NUMBER = st.integers(-3, 10).map(str) | st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10"])
 DEEP = st.integers(1000, 5000).flatmap(lambda k: st.sampled_from([(k, k), (k, 1)]))
+# one cell of up to 10**30 dots; count's table grows with the dots, so it
+# draws no such domain
+HUGE = st.integers(1, 10**30).map(lambda k: (str(k), "1"))
 DOMAIN = st.tuples(NUMBER, NUMBER) | DEEP.map(lambda d: tuple(map(str, d)))
 MULTIPLICITIES = st.sampled_from(
     ["", ",", "0", "-1,2", "a,b", "1,,1", "1.5,2", " 3 , 2 ", "2,1,1", "9" * 30 + ",1",
@@ -247,7 +322,7 @@ OUT = st.sampled_from(["{tmp}/o.csv", "{tmp}/missing/o.csv", "{tmp}/", "{tmp}/fi
 TABLE_GRID = st.tuples(
     st.sampled_from(["", "0..1", "3..2", "-2..3", "a..b", "2..3", "1,2,,4"]),
     st.sampled_from(["", "0", "-1", "x", "1", "2,3"]),
-) | st.sampled_from([("1100", "1"), ("1", "1100")])
+) | st.sampled_from([("1100", "1"), ("1", "1100")]) | HUGE.map(lambda d: d[::-1])
 
 
 @st.composite
@@ -265,7 +340,7 @@ def hostile_argv(draw):
     if command == "tables":
         cells, multipliers = draw(TABLE_GRID)
         return argv + ["--cells", cells, "--multipliers", multipliers, "--out-dir", draw(OUT)]
-    dots, cells = draw(DOMAIN)
+    dots, cells = draw(DOMAIN if command == "count" else DOMAIN | HUGE)
     argv += ["--dots", dots, "--cells", cells]
     if command == "count":
         return argv

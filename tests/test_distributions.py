@@ -24,9 +24,7 @@ class TestConstruction:
         assert d.multiplicities == (2, 1, 1)
         assert d.total == 4
         assert d.cardinality == 3
-        assert d.quantum == pytest.approx(0.25)
         assert d.probabilities == pytest.approx((0.5, 0.25, 0.25))
-        assert d.probability(0) == pytest.approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDomain):
@@ -47,10 +45,6 @@ class TestConstruction:
     def test_bool_rejected(self):
         with pytest.raises(ValueError):
             from_multiplicities([True, 1])
-
-    def test_is_uniform(self):
-        assert from_multiplicities([3, 3, 3]).is_uniform()
-        assert not from_multiplicities([3, 2, 4]).is_uniform()
 
     @given(multiplicity_lists)
     def test_probabilities_sum_to_one(self, counts):

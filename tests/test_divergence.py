@@ -8,11 +8,12 @@ from scipy.spatial.distance import jensenshannon
 from scipy.stats import entropy
 
 from qdiv import (
-    MEASURE_LABELS,
+    BudgetExceeded,
     DomainMismatch,
     QuantumMismatch,
-    all_measures,
     build_maximizer,
+    count_unordered,
+    enumerate_unordered,
     from_multiplicities,
     hellinger,
     hellinger_squared,
@@ -103,6 +104,15 @@ class TestMaximizer:
         result = build_maximizer(p)
         assert result.max_divergence == kl(p, result.maximizer)
 
+    def test_normalizer_zero_only_with_one_distribution(self):
+        # kn returns 0 for p == q before it divides, so a zero normalizer
+        # never meets distinct inputs: all 16,383 distributions up to 14 dots
+        for total in range(1, 15):
+            for cells in range(1, total + 1):
+                alone = count_unordered(total, cells) == 1
+                for p in enumerate_unordered(total, cells):
+                    assert (build_maximizer(p).max_divergence == 0.0) == alone, p
+
 
 class TestValidation:
     def test_cells_must_match(self):
@@ -124,16 +134,6 @@ class TestValidation:
         with pytest.raises(DomainMismatch):
             jaccard_distance(p, from_multiplicities([1, 1]))
 
-    def test_all_measures_rescales_on_request(self):
-        p = from_multiplicities([2, 1, 1])
-        q = from_multiplicities([3, 2, 1])
-        with pytest.raises(QuantumMismatch):
-            all_measures(p, q)
-        values = {mv.measure: mv.value for mv in all_measures(p, q, rescale=True)}
-        assert set(values) == set(MEASURE_LABELS)
-        rp, rq = make_comparable(p, q)
-        assert values["kl"] == pytest.approx(kl(rp, rq), abs=1e-12)
-
 
 class TestBatchedKernel:
     @given(pair_strategy(max_cells=10))
@@ -147,6 +147,16 @@ class TestBatchedKernel:
         ):
             assert values[name].shape == (2, 1)
             assert values[name][:, 0].tolist() == [fn(p, q), fn(q, q)], name
+
+    def test_single_cell_totals_up_to_int64(self):
+        # distinct counts are sorted, not binned: no table as long as the total
+        for total in (10**12, 2**62 - 1):
+            values = measures([(total,)], [(total,)], total)
+            assert [float(v[0, 0]) for v in values.values()] == [0.0] * 5
+        # the jaccard denominator 2 * total must fit in int64
+        for total in (2**62, 5 * 10**18, 10**20):
+            with pytest.raises(BudgetExceeded):
+                measures([(total,)], [(total,)], total)
 
     def test_rejects_invalid_counts(self):
         with pytest.raises(DomainMismatch):

@@ -148,7 +148,7 @@ class TestUniformStudy:
     def test_uniform_row_is_zero_and_rank_one(self):
         study = run_uniform_study(12, 6)
         ranks = study.ranks()
-        assert study.distributions[-1].is_uniform()
+        assert study.distributions[-1].multiplicities == (2,) * 6
         for measure in MEASURES:
             assert study.values[measure][-1] == 0.0
             assert ranks[measure][-1] == 1.0
@@ -198,19 +198,18 @@ class TestUniformStudy:
 
 class TestTables:
     def test_records_and_files(self, tmp_path):
-        records = emit_tables((6, 7), (2, 3), tmp_path)
-        assert len(records) == 2 * 2 * 5 * 2
-        stats = {(r.cells, r.dots, r.measure, r.statistic): r.value for r in records}
-        values = run_uniform_study(12, 6).values["kn"]
-        assert stats[(6, 12, "kn", "max")] == pytest.approx(max(values), abs=1e-12)
-        assert stats[(6, 12, "kn", "mean_over_max")] == pytest.approx(
-            (sum(values) / len(values)) / max(values), abs=1e-12
-        )
-        t1 = read_lines(tmp_path / "table1.csv")
-        t2 = read_lines(tmp_path / "table2.csv")
+        paths = emit_tables((6, 7), (2, 3), tmp_path)
+        assert paths == (tmp_path / "table1.csv", tmp_path / "table2.csv")
+        t1 = read_lines(paths[0])
+        t2 = read_lines(paths[1])
         assert t1[0] == t2[0] == "cells,dots,kn,kl,jsd,hellinger,jaccard"
         assert len(t1) == 1 + 4
         assert len(t2) == 1 + 4 + 1
+        # the first row is (6, 12); its kn fields
+        values = run_uniform_study(12, 6).values["kn"]
+        assert t1[1].split(",")[:3] == ["6", "12", f"{max(values):.6f}"]
+        mean_over_max = (sum(values) / len(values)) / max(values)
+        assert t2[1].split(",")[:3] == ["6", "12", f"{mean_over_max:.6f}"]
 
     def test_ranks_nothing(self, tmp_path, monkeypatch):
         # the tables read values only; ranking every column cost 5 calls a domain
@@ -233,18 +232,15 @@ class TestTables:
 
 
 class TestTableSweepInvariants:
-    def test_kn_maxima_stay_below_cap(self, table_records):
+    def test_kn_maxima_stay_below_cap(self, table_values):
         # against a uniform background the normalized measure tops out near 0.5
-        records, _ = table_records
-        for r in records:
-            if r.measure == "kn" and r.statistic == "max":
-                assert r.value < 0.55, (r.cells, r.dots, r.value)
+        for (cells, dots, measure), value in table_values["max"].items():
+            if measure == "kn":
+                assert value < 0.55, (cells, dots, value)
 
-    def test_mean_never_exceeds_max(self, table_records):
-        records, _ = table_records
-        for r in records:
-            if r.statistic == "mean_over_max":
-                assert 0.0 < r.value <= 1.0, (r.cells, r.dots, r.measure)
+    def test_mean_never_exceeds_max(self, table_values):
+        for key, value in table_values["mean_over_max"].items():
+            assert 0.0 < value <= 1.0, key
 
 
 class TestReferenceUniformStudy:

@@ -3,8 +3,9 @@
 The uniform commands (tables, uniform-study 32/8, rank 32/8) run at paper
 scale and the pairwise and verify commands at tiny scale, each through
 qdiv.cli.main in a fresh directory; the paper-scale pairwise sweep that the
-session fixture pairwise_15_5 writes anyway is checked too. Arguments come from
-perfbench/run.py (workload_steps) and the expected digests from
+session fixture pairwise_15_5 writes anyway is checked too, and so is every
+CSV of the reference battery, scripts/reproduce_experiments.py. Arguments come
+from perfbench/run.py (workload_steps) and the expected digests from
 perfbench/reference.json, which this module only reads. Any byte drift, such
 as a tie that splits differently in a rank column, fails here and not only
 in the benchmark.
@@ -13,14 +14,18 @@ in the benchmark.
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qdiv
 from qdiv.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load_perfbench_run():
@@ -63,3 +68,33 @@ def test_paper_pairwise_bytes_match_reference(pairwise_15_5):
     ):
         with open(path, "rb") as fh:
             assert hashlib.file_digest(fh, "sha256").hexdigest() == expected[name], name
+
+
+# Each CSV the battery writes, and the paper-scale benchmark output that has
+# the same bytes: (command label, output name) in reference.json.
+BATTERY = {
+    "pairwise_15_5.csv": ("pairwise", "pairwise.csv"),
+    "pairwise_15_5_summary.csv": ("pairwise", "pairwise_summary.csv"),
+    "uniform_32_8.csv": ("uniform-study", "uniform_32_8.csv"),
+    "table1.csv": ("tables", "tables/table1.csv"),
+    "table2.csv": ("tables", "tables/table2.csv"),
+    "ranks_32_8.csv": ("rank", "ranks.csv"),
+    "ranks_32_8_spearman.csv": ("rank", "ranks_spearman.csv"),
+}
+
+
+def test_reproduce_script_bytes_match_reference(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(qdiv.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_experiments.py"),
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    tables = f"tables: 200 records -> {tmp_path / 'table1.csv'}, {tmp_path / 'table2.csv'}"
+    assert tables in proc.stdout.splitlines()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(BATTERY)
+    for name, (label, output) in BATTERY.items():
+        with open(tmp_path / name, "rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        assert digest == REFERENCE["paper"][label][output], name
