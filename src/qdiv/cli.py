@@ -44,8 +44,11 @@ def _parse_cells_range(text: str) -> list[int]:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    print(f"unordered={count_unordered(args.dots, args.cells)}")
-    print(f"ordered={count_ordered(args.dots, args.cells)}")
+    # both counts before any line, so a budget overrun prints none
+    unordered = count_unordered(args.dots, args.cells)
+    ordered = count_ordered(args.dots, args.cells)
+    print(f"unordered={unordered}")
+    print(f"ordered={ordered}")
     return 0
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .distributions import OrderedQuantumDistribution, QuantumDistribution
-from .errors import InvalidSpec
+from .errors import BudgetExceeded, InvalidSpec
+
+# Past these sizes a request raises BudgetExceeded before it allocates:
+# the big-integer additions of count_ordered's table (a few tenths of a
+# second at the limit) and the cells of one enumerated distribution.
+COUNT_BUDGET = 4 * 10**6
+CELLS_BUDGET = 10**4
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,21 @@ def count_ordered(total: int, cells: int) -> int:
     Taking one unit from every part leaves a partition of total - cells into
     at most cells parts; by conjugation, into parts of size at most cells.
     Those are counted bottom-up, one admissible part size at a time, in
-    O((total - cells) * cells) big-integer additions and no recursion.
+    O((total - cells) * cells) big-integer additions and no recursion. With
+    at most one admissible size there is one partition, and no table.
     """
     _check(total, cells)
     free = total - cells
+    sizes = min(cells, free)
+    if sizes <= 1:
+        return 1
+    if (free + 1) * sizes > COUNT_BUDGET:
+        raise BudgetExceeded(
+            f"counting partitions of {total} into {cells} parts exceeds the budget "
+            f"of {COUNT_BUDGET} additions"
+        )
     ways = [1] + [0] * free  # ways[x]: partitions of x into the sizes so far
-    for size in range(1, min(cells, free) + 1):
+    for size in range(1, sizes + 1):
         for x in range(size, free + 1):
             ways[x] += ways[x - size]
     return ways[free]
@@ -111,9 +126,15 @@ def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
             left -= part
 
 
+def _check_cells_budget(cells: int) -> None:
+    if cells > CELLS_BUDGET:
+        raise BudgetExceeded(f"{cells} cells exceed the budget of {CELLS_BUDGET}")
+
+
 def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]:
     """Yield every unordered quantum distribution once, lex-descending."""
     _check(total, cells)
+    _check_cells_budget(cells)
     for parts in _compositions(total, cells):
         yield QuantumDistribution(parts)
 
@@ -121,5 +142,6 @@ def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]
 def enumerate_ordered(total: int, cells: int) -> Iterator[OrderedQuantumDistribution]:
     """Yield every ordered quantum distribution once, lex-descending."""
     _check(total, cells)
+    _check_cells_budget(cells)
     for parts in _partitions(total, cells):
         yield OrderedQuantumDistribution(parts)

@@ -4,6 +4,9 @@ All CSV output is byte-deterministic: header row, comma separator, 6-decimal
 fixed-point reals, LF line endings, UTF-8. Every value comes from one call
 of divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
+The pairwise sweep, a million rows at 15/5, formats a fixed-size block of
+pairs at a time as a uint8 matrix of digits, byte-identical to str.format's
+"{:.6f}" (see _pairrows); the other writers use str.format.
 
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -20,15 +23,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._pairrows import write_pair_rows
 from .distributions import OrderedQuantumDistribution, format_distribution
 from .divergence import MEASURE_LABELS, measures
-from .enumeration import EnumerationSpec, count_unordered, enumerate_ordered, enumerate_unordered
+from .enumeration import (
+    EnumerationSpec,
+    count_ordered,
+    count_unordered,
+    enumerate_ordered,
+    enumerate_unordered,
+)
 from .errors import BudgetExceeded, DegenerateInput, InvalidSpec, NonUniformCapable
 from .stats import GapStats, distribution_properties, fractional_ranks, gap_stats, pearson
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 
 DEFAULT_PAIR_BUDGET = 2 * 10**6
+# Most multiplicities (distributions times cells) a uniform study enumerates
+STUDY_BUDGET = 2 * 10**6
 
 
 @dataclass
@@ -102,7 +114,7 @@ def run_pairwise_experiment(
     enumeration, plus a companion summary CSV with the Pearson correlations
     between measure columns and gap statistics per column. Raises
     BudgetExceeded when the pair count would pass the budget. Rows are
-    formatted and written one index_p block at a time.
+    formatted and written _pairrows.PAIR_BLOCK pairs at a time.
     """
     out_path = Path(out_path)
     count = count_unordered(total, cells)
@@ -114,17 +126,11 @@ def run_pairwise_experiment(
     values = measures(counts, counts, total)
     values["hellinger"] = np.sqrt(values.pop("hellinger_squared"))
 
-    line = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
-
-    def blocks():
-        yield "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
-        for i in range(count):
-            row = zip(*(values[m][i].tolist() for m in MEASURE_LABELS))
-            yield "\n".join(line(i, j, *measured) for j, measured in enumerate(row))
-
-    _write_text(out_path, blocks())
-
     columns = {m: values[m].ravel() for m in MEASURE_LABELS}
+    with open(out_path, "wb") as fh:
+        fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")
+        write_pair_rows(fh, count, [columns[m] for m in MEASURE_LABELS])
+
     correlations: dict[tuple[str, str], float] = {}
     for a_i, a in enumerate(MEASURE_LABELS):
         for b in MEASURE_LABELS[a_i + 1 :]:
@@ -160,11 +166,15 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     """Every ordered distribution against the uniform one, as measure columns.
 
     Requires cells to divide total so the uniform distribution exists on
-    the same quantum.
+    the same quantum. Raises BudgetExceeded before enumerating when the
+    distributions hold more than STUDY_BUDGET multiplicities in all.
     """
     EnumerationSpec(total, cells)  # raises InvalidSpec before cells divides anything
     if total % cells != 0:
         raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
+    size = count_ordered(total, cells) * cells
+    if size > STUDY_BUDGET:
+        raise BudgetExceeded(f"{size} multiplicities exceed the budget of {STUDY_BUDGET}")
     dists = list(enumerate_ordered(total, cells))
     kernel = measures([p.multiplicities for p in dists], [(total // cells,) * cells], total)
     kernel["hellinger"] = kernel.pop("hellinger_squared")

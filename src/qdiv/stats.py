@@ -52,7 +52,8 @@ def distribution_properties(p: QuantumDistribution) -> DistributionProperties:
     m4 / m2^2 - 3.
     """
     probs = p.probabilities
-    entropy = -sum(x * math.log2(x) for x in probs)
+    # 0.0 - rather than unary minus: one cell sums to 0.0, whose negation is -0.0
+    entropy = 0.0 - sum(x * math.log2(x) for x in probs)
     ms = p.multiplicities
     n = p.cardinality
     mean = p.total / n

@@ -57,6 +57,13 @@ class TestCount:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("dots, cells", [(10**30, 2), (10**7, 5)])
+    def test_table_past_budget_exits_two(self, capsys, dots, cells):
+        code, out, err = run(capsys, "count", "--dots", str(dots), "--cells", str(cells))
+        assert code == 2
+        assert out == [""]  # no count printed before the error
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestCompare:
     def test_all_measures(self, capsys):
@@ -156,6 +163,12 @@ class TestVerify:
         assert code == 2
         assert "budget" in err
 
+    def test_cells_past_budget_exits_two(self, capsys):
+        code, out, err = run(capsys, "verify", "--dots", str(10**20), "--cells", str(10**20))
+        assert code == 2
+        assert out == [""]
+        assert len(err.splitlines()) == 1 and "budget" in err
+
 
 class TestExperimentCommands:
     def test_pairwise(self, capsys, tmp_path):
@@ -187,6 +200,28 @@ class TestExperimentCommands:
         assert code == 0
         assert out[0] == "rows=11"
         assert out_csv.exists()
+
+    def test_one_cell_entropy_is_positive_zero(self, capsys, tmp_path):
+        out_csv = tmp_path / "study.csv"
+        code, _, _ = run(
+            capsys, "uniform-study", "--dots", "4", "--cells", "1", "--out", str(out_csv)
+        )
+        assert code == 0
+        assert out_csv.read_text(encoding="utf-8").splitlines()[1] == (
+            '"4",0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,,,'
+            "1.0,1.0,1.0,1.0,1.0"
+        )
+
+    @pytest.mark.parametrize("command", ["uniform-study", "rank", "tables"])
+    def test_study_past_budget_exits_two(self, capsys, tmp_path, command):
+        # about 1.1e33 partitions of 2200 into 1100 parts: refused before enumerating
+        if command == "tables":
+            argv = ["--cells", "1100", "--multipliers", "2", "--out-dir", str(tmp_path)]
+        else:
+            argv = ["--dots", "2200", "--cells", "1100", "--out", str(tmp_path / "o.csv")]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "budget" in err
 
     def test_uniform_study_indivisible_exits_one(self, capsys, tmp_path):
         code, _, err = run(
@@ -309,9 +344,9 @@ class TestNoTraceback:
 # but trivial (one distribution), so that every example runs in milliseconds.
 NUMBER = st.integers(-3, 10).map(str) | st.sampled_from(["", "x", "1.5", "-", "1e3", "0x10"])
 DEEP = st.integers(1000, 5000).flatmap(lambda k: st.sampled_from([(k, k), (k, 1)]))
-# one cell of up to 10**30 dots; count's table grows with the dots, so it
-# draws no such domain
+# one cell of up to 10**30 dots, or as many cells as dots
 HUGE = st.integers(1, 10**30).map(lambda k: (str(k), "1"))
+HUGE_SQUARE = st.integers(1, 10**30).map(lambda k: (str(k), str(k)))
 DOMAIN = st.tuples(NUMBER, NUMBER) | DEEP.map(lambda d: tuple(map(str, d)))
 MULTIPLICITIES = st.sampled_from(
     ["", ",", "0", "-1,2", "a,b", "1,,1", "1.5,2", " 3 , 2 ", "2,1,1", "9" * 30 + ",1",
@@ -340,7 +375,7 @@ def hostile_argv(draw):
     if command == "tables":
         cells, multipliers = draw(TABLE_GRID)
         return argv + ["--cells", cells, "--multipliers", multipliers, "--out-dir", draw(OUT)]
-    dots, cells = draw(DOMAIN if command == "count" else DOMAIN | HUGE)
+    dots, cells = draw(DOMAIN | HUGE if command == "count" else DOMAIN | HUGE | HUGE_SQUARE)
     argv += ["--dots", dots, "--cells", cells]
     if command == "count":
         return argv
@@ -355,6 +390,9 @@ def hostile_argv(draw):
 @example(["uniform-study", "--dots", "1100", "--cells", "1100", "--out", "{tmp}/u.csv"])
 @example(["verify", "--dots", "1100", "--cells", "1100"])
 @example(["rank", "--dots", "1100", "--cells", "1100", "--out", "{tmp}/r.csv"])
+@example(["uniform-study", "--dots", "2200", "--cells", "1100", "--out", "{tmp}/u.csv"])
+@example(["rank", "--dots", "2200", "--cells", "1100", "--out", "{tmp}/r.csv"])
+@example(["tables", "--cells", "1100", "--multipliers", "2", "--out-dir", "{tmp}"])
 @settings(max_examples=300, deadline=None)
 def test_hostile_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiv import (
+    BudgetExceeded,
     InvalidSpec,
     OrderedQuantumDistribution,
     count_ordered,
@@ -127,3 +128,18 @@ def test_deep_counts_need_no_recursion():
     # both once ended in RecursionError; p(1500) is the partition number
     assert count_ordered(20000, 10) == 391887324923068826482079538
     assert count_ordered(3000, 1500) == 1329461690763193888825263136701886891117
+
+
+def test_count_past_budget_raises_before_its_table():
+    # the table would hold 10**30 entries; one cell or no free unit needs none
+    with pytest.raises(BudgetExceeded):
+        count_ordered(10**30, 2)
+    assert count_ordered(10**30, 1) == 1
+    assert count_ordered(10**30, 10**30) == 1
+    assert count_ordered(10**30 + 1, 10**30) == 1
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_unordered, enumerate_ordered])
+def test_cells_past_budget_raise_before_the_first_list(enumerate_):
+    with pytest.raises(BudgetExceeded):
+        next(enumerate_(10**20, 10**20))

@@ -1,11 +1,16 @@
 import csv
+import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdiv import (
+    MEASURE_LABELS,
     BudgetExceeded,
     NonUniformCapable,
     distribution_properties,
@@ -25,7 +30,7 @@ from qdiv import (
     run_uniform_study,
     write_uniform_study_csv,
 )
-from qdiv import experiments
+from qdiv import _pairrows, experiments
 
 PAIRWISE_HEADER = "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
 
@@ -125,6 +130,85 @@ class TestPairwise:
         lines = read_lines(out)
         assert lines[1] == "0,0,0.000000,0.000000,0.000000,0.000000,0.000000"
         assert result.correlations == {}
+
+    def test_near_half_cells_print_as_str_format(self, tmp_path):
+        # 47/2 holds jsd cells within 1e-6 of a rounding half, which take the
+        # str.format path; every row must read as str.format would print it
+        out = tmp_path / "pairs.csv"
+        result = run_pairwise_experiment(47, 2, out)
+        scaled = result.values["jsd"] * 1e6
+        assert (np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6).sum() == 4
+        line = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
+        columns = [result.values[m].tolist() for m in MEASURE_LABELS]
+        expected = [PAIRWISE_HEADER] + [
+            line(*divmod(k, 46), *row) for k, row in enumerate(zip(*columns))
+        ]
+        assert result.rows_written == 46 * 46
+        assert read_lines(out) == expected
+
+
+def _near_half(units: int, micro: int, ulps: int) -> float:
+    """The double nearest units.micro5, moved by ulps units in the last place."""
+    v = float(f"{units}.{micro:06d}5")
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+# Three values that np.rint(v * 1e6) rounds the other way from
+# format(v, ".6f"), one that rounds up to a fourth integer digit, signed
+# zeros, tiny negatives, non-finite values, an exact binary tie and values
+# from 1e3 up.
+EDGE_VALUES = [0.0000025, 2.0000005, 100.0000015, 999.9999996, 0.0, -0.0, -5e-324, -1e-17,
+               -4e-7, math.inf, -math.inf, math.nan, 81 / 128, 1e3, 1e300]
+# Values for the pairwise formatter: anything below 1e3, exact binary ties
+# such as 81/128, values a few ulps around x.xxxxxx5, the edge values,
+# negatives and values from 1e3 up.
+FORMAT_VALUES = st.one_of(
+    st.floats(0, 1e3, exclude_max=True),
+    st.builds(lambda k, j: k / 2**j, st.integers(0, 2**20), st.integers(0, 30)),
+    st.builds(_near_half, st.integers(0, 999), st.integers(0, 10**6 - 1), st.integers(-4, 4)),
+    st.sampled_from(EDGE_VALUES),
+    st.floats(-1.0, 0.0),
+    st.floats(1e3, 1e300),
+)
+
+
+def check_pair_rows(count, block, rows):
+    """write_pair_rows on count * count rows in blocks of block, against format."""
+    columns = [np.array(column, dtype=np.float64) for column in zip(*rows)]
+    fh = io.BytesIO()
+    with mock.patch.object(_pairrows, "PAIR_BLOCK", block):
+        _pairrows.write_pair_rows(fh, count, columns)
+    expected = "".join(
+        f"{k // count},{k % count}," + ",".join(format(v, ".6f") for v in row) + "\n"
+        for k, row in enumerate(rows)
+    )
+    assert fh.getvalue().decode("ascii") == expected
+
+
+class TestPairRowFormat:
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_edge_values(self, block):
+        # one row per edge value, in all five columns, among rows of safe values
+        rows = [[0.25] * 5 for _ in range(16)]
+        for k, v in enumerate(EDGE_VALUES):
+            for m in range(5):
+                rows[k][m] = v
+        check_pair_rows(4, block, rows)
+
+    @given(
+        count=st.integers(1, 6),
+        block=st.integers(1, 40),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_format(self, count, block, data):
+        # a few rows, cut into blocks of any size
+        rows = data.draw(st.lists(
+            st.tuples(*[FORMAT_VALUES] * 5), min_size=count * count, max_size=count * count
+        ))
+        check_pair_rows(count, block, rows)
 
 
 MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
