@@ -161,10 +161,17 @@ def jaccard_distance(p: QuantumDistribution, q: QuantumDistribution) -> float:
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    # sorted distinct entries; np.unique would import numpy.ma (over 1 MB) and
-    # np.bincount would allocate an entry for every integer up to the largest count
-    s = np.sort(values, axis=None)
-    return s[np.append(True, s[1:] != s[:-1])]
+    """The distinct entries of the 1-D array values, ascending; sorts values in place.
+
+    The first entry of each run of equal ones is kept, as np.unique keeps it;
+    np.unique would import numpy.ma (over 1 MB), and np.bincount would
+    allocate an entry for every integer up to the largest count.
+    """
+    values.sort()
+    first = np.empty(values.size, bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
@@ -189,7 +196,7 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
         raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
     block = total - n + 1
     opponent = np.where(np.arange(n) == cp.argmin(axis=1)[:, None], block, 1)
-    kp_values = _distinct(cp)
+    kp_values = _distinct(cp.flatten())
     kq_values = _distinct(np.append(cq, (1, block)))
     kl_t, jsd_t, he_t = (
         np.array([[term(kp, kq, total) for kq in kq_values.tolist()]

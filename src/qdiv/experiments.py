@@ -6,7 +6,9 @@ of divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
 The pairwise sweep, a million rows at 15/5, formats a fixed-size block of
 pairs at a time as a uint8 matrix of digits, byte-identical to str.format's
-"{:.6f}" (see _pairrows); the other writers use str.format.
+"{:.6f}" (see _pairrows); the other writers use str.format. Its summary
+takes each column's mean and sum of squares once (stats.pearson_pairs),
+with coefficients equal bit for bit to stats.pearson's.
 
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -34,7 +36,14 @@ from .enumeration import (
     enumerate_unordered,
 )
 from .errors import BudgetExceeded, DegenerateInput, InvalidSpec, NonUniformCapable
-from .stats import GapStats, distribution_properties, fractional_ranks, gap_stats, pearson
+from .stats import (
+    GapStats,
+    distribution_properties,
+    fractional_ranks,
+    gap_stats,
+    pearson,
+    pearson_pairs,
+)
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 
@@ -131,13 +140,8 @@ def run_pairwise_experiment(
         fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")
         write_pair_rows(fh, count, [columns[m] for m in MEASURE_LABELS])
 
-    correlations: dict[tuple[str, str], float] = {}
-    for a_i, a in enumerate(MEASURE_LABELS):
-        for b in MEASURE_LABELS[a_i + 1 :]:
-            try:
-                correlations[(a, b)] = pearson(columns[a], columns[b])
-            except DegenerateInput:
-                continue  # degenerate column in a tiny space; row omitted
+    # a degenerate column in a tiny space leaves its pairs out
+    correlations = pearson_pairs(columns)
     gaps = {m: gap_stats(columns[m]) for m in MEASURE_LABELS}
 
     summary_path = out_path.with_name(out_path.stem + "_summary" + out_path.suffix)

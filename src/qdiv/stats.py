@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .distributions import QuantumDistribution
+from .divergence import _distinct
 from .errors import DegenerateInput
 
 
@@ -33,9 +34,9 @@ class GapStats:
 
     Values are sorted and collapsed to distinct entries (equality after
     rounding to 12 decimals, enough to separate genuinely different small
-    rationals while absorbing float noise); gaps are the adjacent
-    differences of that collapsed vector. mean_over_max uses the original
-    uncollapsed values.
+    rationals while absorbing float noise; -0.0 and 0.0 are one entry); gaps
+    are the adjacent differences of that collapsed vector. mean_over_max uses
+    the original uncollapsed values.
     """
 
     distinct_count: int
@@ -92,6 +93,38 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.sum(xc * yc)) / den
 
 
+def pearson_pairs(columns: Mapping[str, np.ndarray]) -> dict[tuple[str, str], float]:
+    """pearson(columns[a], columns[b]) for every pair of names a before b.
+
+    Equal bit for bit to the pearson calls: each column is centred with the
+    same subtraction of its mean and summed with the same np.sum, but its
+    mean and sum of squares are taken once. Pairs whose pearson raises
+    DegenerateInput (fewer than two points, a zero-variance column) are left
+    out. Two buffers of a column's length serve every pair: the second
+    column is centred again for each pair, and its products overwrite it.
+    """
+    names = list(columns)
+    size = len(columns[names[0]]) if names else 0
+    if size < 2:
+        return {}
+    xc, yc = np.empty(size), np.empty(size)
+    means = {m: columns[m].mean() for m in names}
+    squares = {}
+    for m in names:
+        np.subtract(columns[m], means[m], out=xc)
+        squares[m] = float(np.sum(np.multiply(xc, xc, out=yc)))
+    coefficients = {}
+    for i, a in enumerate(names):
+        np.subtract(columns[a], means[a], out=xc)
+        for b in names[i + 1 :]:
+            den = math.sqrt(squares[a] * squares[b])
+            if den == 0.0:
+                continue
+            np.subtract(columns[b], means[b], out=yc)
+            coefficients[(a, b)] = float(np.sum(np.multiply(xc, yc, out=yc))) / den
+    return coefficients
+
+
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     """Ascending 1-based ranks with ties sharing their average rank."""
     v = np.asarray(values, dtype=np.float64)
@@ -115,11 +148,13 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def gap_stats(values: Sequence[float]) -> GapStats:
-    """Distinct-value gaps and mean/max ratio for a non-empty vector."""
+    """Distinct-value gaps and mean/max ratio for a non-empty finite vector."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise DegenerateInput("gap_stats needs a non-empty vector")
-    distinct = np.unique(np.round(v, 12))
+    if not np.isfinite(v).all():
+        raise DegenerateInput("gap_stats needs finite values")
+    distinct = _distinct(np.round(v, 12))
     if distinct.size >= 2:
         gaps = np.diff(distinct)
         mean_gap = float(gaps.mean())

@@ -181,6 +181,22 @@ class TestExperimentCommands:
         assert out_csv.exists()
         assert (tmp_path / "pairs_summary.csv").exists()
 
+    def test_pairwise_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma, over 1 MB of module state per process
+        env = dict(os.environ, PYTHONPATH=str(Path(qdiv.__file__).parents[1]))
+        script = (
+            "import sys\n"
+            "from qdiv.cli import main\n"
+            "code = main(['pairwise', '--dots', '8', '--cells', '3', '--out', 'p.csv'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
     def test_pairwise_budget_exits_two(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -25,6 +25,7 @@ from qdiv import (
     jsd,
     kl,
     kn,
+    pearson,
     run_pairwise_experiment,
     run_rank_comparison,
     run_uniform_study,
@@ -124,6 +125,16 @@ class TestPairwise:
             expected = [fn(p, q) for p in dists for q in dists]
             assert result.values[name].tolist() == expected, name
 
+    @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8)])
+    def test_correlations_equal_pearson(self, tmp_path, total, cells):
+        result = run_pairwise_experiment(total, cells, tmp_path / "p.csv")
+        expected = {
+            (a, b): pearson(result.values[a], result.values[b])
+            for i, a in enumerate(MEASURE_LABELS)
+            for b in MEASURE_LABELS[i + 1 :]
+        }
+        assert result.correlations == expected
+
     def test_single_distribution_domain(self, tmp_path):
         out = tmp_path / "one.csv"
         result = run_pairwise_experiment(4, 4, out)
@@ -209,6 +220,22 @@ class TestPairRowFormat:
             st.tuples(*[FORMAT_VALUES] * 5), min_size=count * count, max_size=count * count
         ))
         check_pair_rows(count, block, rows)
+
+    @pytest.mark.parametrize("block", [1000, 1001, 4096])
+    def test_six_digit_indices(self, block):
+        # from count 1001 an index has two digit words, and blocks straddle
+        # index_p boundaries; words written right to left would clip digits
+        count = 1001
+        values = [0.0, 0.25, 3.125, 12.5, 998.75]
+        columns = [np.full(count * count, v) for v in values]
+        fh = io.BytesIO()
+        with mock.patch.object(_pairrows, "PAIR_BLOCK", block):
+            _pairrows.write_pair_rows(fh, count, columns)
+        tail = "," + ",".join(format(v, ".6f") for v in values) + "\n"
+        index_q = [f"{j}{tail}" for j in range(count)]
+        # prefix + prefix.join(index_q) is every row of one index_p
+        expected = "".join(f"{i}," + f"{i},".join(index_q) for i in range(count))
+        assert fh.getvalue() == expected.encode("ascii")
 
 
 MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")

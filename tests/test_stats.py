@@ -15,6 +15,7 @@ from qdiv import (
     pearson,
     spearman,
 )
+from qdiv.stats import pearson_pairs
 
 value_lists = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=30
@@ -89,6 +90,49 @@ class TestPearson:
         assert -1.0 - 1e-12 <= pearson(x, y) <= 1.0 + 1e-12
 
 
+def pearson_or_none(x, y):
+    try:
+        return pearson(x, y)
+    except DegenerateInput:
+        return None
+
+
+# columns of one length, some constant, to be correlated pair by pair
+column_sets = st.integers(1, 30).flatmap(lambda size: st.lists(
+    st.one_of(
+        st.lists(st.floats(-100, 100), min_size=size, max_size=size),
+        st.floats(-100, 100).map(lambda v: [v] * size),
+    ),
+    min_size=0, max_size=5,
+))
+
+
+class TestPearsonPairs:
+    @given(column_sets)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_pearson_bit_for_bit(self, columns):
+        named = {f"c{k}": np.array(c, dtype=np.float64) for k, c in enumerate(columns)}
+        names = list(named)
+        expected = {}
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                rho = pearson_or_none(named[a], named[b])
+                if rho is not None:
+                    expected[(a, b)] = rho
+        got = pearson_pairs(named)
+        # same keys in the same order; NaN never occurs on these finite inputs
+        assert list(got.items()) == list(expected.items())
+
+    def test_zero_variance_column_drops_its_pairs(self):
+        named = {
+            "x": np.array([1.0, 2.0, 4.0]),
+            "flat": np.full(3, 0.5),
+            "y": np.array([3.0, 1.0, 2.0]),
+        }
+        assert list(pearson_pairs(named)) == [("x", "y")]
+        assert pearson_pairs({"x": np.array([1.0]), "y": np.array([2.0])}) == {}
+
+
 class TestRanksAndSpearman:
     def test_fractional_ranks_average_ties(self):
         got = fractional_ranks([10.0, 20.0, 20.0, 30.0])
@@ -140,6 +184,35 @@ class TestGapStats:
     def test_near_duplicates_collapse(self):
         g = gap_stats([0.1, 0.1 + 1e-15, 0.2])
         assert g.distinct_count == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DegenerateInput):
+            gap_stats([0.1, bad, 0.2])
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(-1e3, 1e3),
+            st.sampled_from([0.0, -0.0, 0.1, 0.1 + 1e-13, 0.1 - 1e-13, 1e-13, -1e-13]),
+            st.integers(0, 10**6).map(lambda k: 0.25 + k * 1e-13),
+        ),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_np_unique_computation(self, values):
+        # the np.unique(np.round(v, 12)) form that the sort-and-mask path replaced
+        v = np.asarray(values, dtype=np.float64)
+        distinct = np.unique(np.round(v, 12))
+        gaps = np.diff(distinct)
+        vmax = float(v.max())
+        expected = (
+            int(distinct.size),
+            float(gaps.mean()) if distinct.size >= 2 else 0.0,
+            float(gaps.std()) if distinct.size >= 2 else 0.0,
+            float(v.mean()) / vmax if vmax != 0.0 else 0.0,
+        )
+        g = gap_stats(values)
+        assert (g.distinct_count, g.mean_gap, g.sd_gap, g.mean_over_max) == expected
 
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)
