@@ -22,8 +22,8 @@ format(v, ".6f") (correctly rounded from the exact binary value) wherever
 v * 1e6 lies more than _HALF_WINDOW from a half. A row with a cell nearer a
 half, negative (-0.0 too), not finite or from _LARGE up is formatted by
 _PAIR_ROW instead. Micro-units of a value below _LARGE stay below
-999,000,000, so they are split into digit groups in int32; indices stay
-int64, since a large budget can take the pair count past 2**31.
+999,000,000, so they are split into digit groups in int32; indices are
+np.arange's int64.
 
 The module is private to the package: experiments calls it for the one CSV
 whose row count is quadratic.

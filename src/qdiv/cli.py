@@ -1,10 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when inputs fail a precondition (the
-ValueError family raised by the library) or a file cannot be written
-(OSError), 2 when an enumeration budget is exceeded. argparse keeps its
-native behavior of exiting with 2 on usage errors, which deliberately reads
-as "this run was too much to even start".
+ValueError family raised by the library), a probability or ratio of
+multiplicities falls outside float range (OverflowError, or a
+ZeroDivisionError on an underflowed zero) or a file cannot be written
+(OSError), 2 when a budget is exceeded. argparse keeps its native
+behavior of exiting with 2 on usage errors, which deliberately reads as
+"this run was too much to even start".
 
 Cells are reported 1-based on the command line; library objects index
 them 0-based.
@@ -21,14 +23,13 @@ from .divergence import MEASURE_LABELS, build_maximizer, hellinger, jaccard_dist
 from .enumeration import count_ordered, count_unordered
 from .errors import BudgetExceeded
 from .experiments import (
-    DEFAULT_PAIR_BUDGET,
     emit_tables,
     run_pairwise_experiment,
     run_rank_comparison,
     run_uniform_study,
     write_uniform_study_csv,
 )
-from .oracle import DEFAULT_BUDGET, verify_maximizer_sweep
+from .oracle import verify_maximizer_sweep
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -76,9 +77,7 @@ def _cmd_maximize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_maximizer_sweep(
-        (args.dots, args.cells), budget=args.budget, tolerance=args.tolerance
-    )
+    report = verify_maximizer_sweep((args.dots, args.cells))
     print(f"checked={report.checked}")
     print(f"violations={len(report.violations)}")
     print(f"max_gap={report.max_gap:.3e}")
@@ -86,7 +85,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_pairwise(args: argparse.Namespace) -> int:
-    result = run_pairwise_experiment(args.dots, args.cells, args.out, budget=args.budget)
+    result = run_pairwise_experiment(args.dots, args.cells, args.out)
     print(f"rows={result.rows_written}")
     print(f"csv={result.out_path}")
     print(f"summary={result.summary_path}")
@@ -152,15 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--dots", type=int, required=True)
     verify.add_argument("--cells", type=int, required=True)
-    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify.add_argument("--tolerance", type=float, default=1e-9)
     verify.set_defaults(func=_cmd_verify)
 
     pairwise = sub.add_parser("pairwise", help="all-pairs measure sweep to CSV")
     pairwise.add_argument("--dots", type=int, required=True)
     pairwise.add_argument("--cells", type=int, required=True)
     pairwise.add_argument("--out", required=True)
-    pairwise.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     pairwise.add_argument(
         "--threads", type=int, default=None, help="accepted and ignored"
     )
@@ -201,7 +197,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

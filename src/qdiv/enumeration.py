@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .distributions import OrderedQuantumDistribution, QuantumDistribution
-from .errors import BudgetExceeded, InvalidSpec
-
-# Past these sizes a request raises BudgetExceeded before it allocates:
-# the big-integer additions of count_ordered's table (a few tenths of a
-# second at the limit) and the cells of one enumerated distribution.
-COUNT_BUDGET = 4 * 10**6
-CELLS_BUDGET = 10**4
+from .errors import CELLS_BUDGET, COUNT_BUDGET, InvalidSpec, check_budget
 
 
 @dataclass(frozen=True)
@@ -66,11 +60,7 @@ def count_ordered(total: int, cells: int) -> int:
     sizes = min(cells, free)
     if sizes <= 1:
         return 1
-    if (free + 1) * sizes > COUNT_BUDGET:
-        raise BudgetExceeded(
-            f"counting partitions of {total} into {cells} parts exceeds the budget "
-            f"of {COUNT_BUDGET} additions"
-        )
+    check_budget((free + 1) * sizes, COUNT_BUDGET, "additions")
     ways = [1] + [0] * free  # ways[x]: partitions of x into the sizes so far
     for size in range(1, sizes + 1):
         for x in range(size, free + 1):
@@ -126,15 +116,10 @@ def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
             left -= part
 
 
-def _check_cells_budget(cells: int) -> None:
-    if cells > CELLS_BUDGET:
-        raise BudgetExceeded(f"{cells} cells exceed the budget of {CELLS_BUDGET}")
-
-
 def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]:
     """Yield every unordered quantum distribution once, lex-descending."""
     _check(total, cells)
-    _check_cells_budget(cells)
+    check_budget(cells, CELLS_BUDGET, "cells")
     for parts in _compositions(total, cells):
         yield QuantumDistribution(parts)
 
@@ -142,6 +127,6 @@ def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]
 def enumerate_ordered(total: int, cells: int) -> Iterator[OrderedQuantumDistribution]:
     """Yield every ordered quantum distribution once, lex-descending."""
     _check(total, cells)
-    _check_cells_budget(cells)
+    check_budget(cells, CELLS_BUDGET, "cells")
     for parts in _partitions(total, cells):
         yield OrderedQuantumDistribution(parts)

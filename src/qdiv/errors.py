@@ -1,10 +1,24 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and its size limits.
 
 Precondition violations are ValueError subclasses so callers that do not
 care about the fine-grained class can catch one base. Budget overruns are
 RuntimeError: the inputs are valid, the requested computation is just too
-large for the configured limit.
+large for its limit.
+
+Every size limit is here, one per unit of work, checked by check_budget
+before the work is allocated. The units cost too differently to share one
+number: a pairwise pair is memory-bound, a verify pair one scalar kl call,
+a study multiplicity a few microseconds of kernel and property work.
 """
+
+# pairs scored: N*N by pairwise and the verify sweep, N by brute_force_max_kl
+PAIR_BUDGET = 2 * 10**6
+# multiplicities (distributions times cells) a uniform study enumerates
+STUDY_BUDGET = 2 * 10**6
+# big-integer additions of count_ordered's table (a few tenths of a second)
+COUNT_BUDGET = 4 * 10**6
+# cells of one enumerated distribution
+CELLS_BUDGET = 10**4
 
 
 class EmptyDomain(ValueError):
@@ -36,4 +50,10 @@ class NonUniformCapable(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive computation would exceed the configured budget."""
+    """An exhaustive computation would exceed its budget."""
+
+
+def check_budget(size: int, budget: int, unit: str) -> None:
+    """Raise BudgetExceeded when size units of work pass budget."""
+    if size > budget:
+        raise BudgetExceeded(f"{size} {unit} exceed the budget of {budget}")

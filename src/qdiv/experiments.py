@@ -35,7 +35,14 @@ from .enumeration import (
     enumerate_ordered,
     enumerate_unordered,
 )
-from .errors import BudgetExceeded, DegenerateInput, InvalidSpec, NonUniformCapable
+from .errors import (
+    PAIR_BUDGET,
+    STUDY_BUDGET,
+    DegenerateInput,
+    InvalidSpec,
+    NonUniformCapable,
+    check_budget,
+)
 from .stats import (
     GapStats,
     distribution_properties,
@@ -46,10 +53,6 @@ from .stats import (
 )
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
-
-DEFAULT_PAIR_BUDGET = 2 * 10**6
-# Most multiplicities (distributions times cells) a uniform study enumerates
-STUDY_BUDGET = 2 * 10**6
 
 
 @dataclass
@@ -110,26 +113,20 @@ def _write_text(path: Path, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
-def run_pairwise_experiment(
-    total: int,
-    cells: int,
-    out_path: str | Path,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> PairwiseResult:
+def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> PairwiseResult:
     """All ordered pairs of unordered distributions, all five measures.
 
     Writes one CSV row per pair (index_p, index_q, kl, kn, jsd, hellinger,
     jaccard), indices being 0-based positions in the lex-descending
     enumeration, plus a companion summary CSV with the Pearson correlations
     between measure columns and gap statistics per column. Raises
-    BudgetExceeded when the pair count would pass the budget. Rows are
+    BudgetExceeded when the pair count would pass PAIR_BUDGET. Rows are
     formatted and written _pairrows.PAIR_BLOCK pairs at a time.
     """
     out_path = Path(out_path)
     count = count_unordered(total, cells)
     pairs = count * count
-    if pairs > budget:
-        raise BudgetExceeded(f"{pairs} pairs exceed the budget of {budget}")
+    check_budget(pairs, PAIR_BUDGET, "pairs")
 
     counts = [d.multiplicities for d in enumerate_unordered(total, cells)]
     values = measures(counts, counts, total)
@@ -176,9 +173,7 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     EnumerationSpec(total, cells)  # raises InvalidSpec before cells divides anything
     if total % cells != 0:
         raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
-    size = count_ordered(total, cells) * cells
-    if size > STUDY_BUDGET:
-        raise BudgetExceeded(f"{size} multiplicities exceed the budget of {STUDY_BUDGET}")
+    check_budget(count_ordered(total, cells) * cells, STUDY_BUDGET, "multiplicities")
     dists = list(enumerate_ordered(total, cells))
     kernel = measures([p.multiplicities for p in dists], [(total // cells,) * cells], total)
     kernel["hellinger"] = kernel.pop("hellinger_squared")

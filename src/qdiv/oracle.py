@@ -14,9 +14,10 @@ from typing import Iterable
 from .distributions import QuantumDistribution
 from .divergence import build_maximizer, kl
 from .enumeration import EnumerationSpec, count_unordered, enumerate_unordered
-from .errors import BudgetExceeded
+from .errors import PAIR_BUDGET, check_budget
 
-DEFAULT_BUDGET = 10**6
+# a brute-force opponent beating the maximizer by more than this is a violation
+TOLERANCE = 1e-9
 
 
 @dataclass
@@ -25,7 +26,7 @@ class MaximalityReport:
 
     violations lists (P, Q, kl_via_maximizer, kl_via_Q) for every P where
     some brute-force opponent Q beat the constructed maximizer by more than
-    the tolerance. max_gap is the worst (brute force - constructed) margin
+    TOLERANCE. max_gap is the worst (brute force - constructed) margin
     seen anywhere; float rounding noise when the construction is optimal.
     """
 
@@ -51,35 +52,26 @@ def _best_opponent(
     return best_q, best
 
 
-def _check_budget(total: int, cells: int, budget: int) -> None:
-    space = count_unordered(total, cells)
-    if space > budget:
-        raise BudgetExceeded(
-            f"brute force over {space} distributions exceeds budget {budget}"
-        )
-
-
-def brute_force_max_kl(
-    p: QuantumDistribution, budget: int = DEFAULT_BUDGET
-) -> tuple[QuantumDistribution, float]:
+def brute_force_max_kl(p: QuantumDistribution) -> tuple[QuantumDistribution, float]:
     """Scan every same-quantum distribution for the largest kl(p, .).
 
     Returns the winning opponent and its divergence; ties keep the first
-    winner in enumeration order.
+    winner in enumeration order. Raises BudgetExceeded when the N pairs
+    (p, Q) would pass PAIR_BUDGET.
     """
-    _check_budget(p.total, p.cardinality, budget)
+    check_budget(count_unordered(p.total, p.cardinality), PAIR_BUDGET, "pairs")
     return _best_opponent(p, enumerate_unordered(p.total, p.cardinality))
 
 
-def verify_maximizer_sweep(
-    spec: EnumerationSpec | tuple[int, int],
-    budget: int = DEFAULT_BUDGET,
-    tolerance: float = 1e-9,
-) -> MaximalityReport:
-    """Compare build_maximizer against brute force for every P in the space."""
+def verify_maximizer_sweep(spec: EnumerationSpec | tuple[int, int]) -> MaximalityReport:
+    """Compare build_maximizer against brute force for every P in the space.
+
+    Scores all N*N pairs (P, Q); raises BudgetExceeded before enumerating
+    when they would pass PAIR_BUDGET.
+    """
     if not isinstance(spec, EnumerationSpec):
         spec = EnumerationSpec(*spec)
-    _check_budget(spec.total, spec.cells, budget)
+    check_budget(count_unordered(spec.total, spec.cells) ** 2, PAIR_BUDGET, "pairs")
     report = MaximalityReport(spec=spec)
     # Opponents are the same list for every P; materialize once.
     opponents = list(enumerate_unordered(spec.total, spec.cells))
@@ -89,7 +81,7 @@ def verify_maximizer_sweep(
         gap = best - constructed
         if gap > report.max_gap:
             report.max_gap = gap
-        if gap > tolerance:
+        if gap > TOLERANCE:
             report.violations.append((p, best_q, constructed, best))
         report.checked += 1
     report.violations.sort(key=lambda v: v[0].multiplicities)

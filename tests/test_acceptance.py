@@ -144,13 +144,14 @@ def test_maximizer_is_optimal_everywhere():
     total_checked = 0
     for cells in range(2, 6):
         for dots in range(cells, 13):
-            report = verify_maximizer_sweep((dots, cells), tolerance=1e-9)
+            report = verify_maximizer_sweep((dots, cells))
             assert report.violations == [], (dots, cells)
             total_checked += report.checked
     assert total_checked == 1573
-    report = verify_maximizer_sweep((15, 5), tolerance=1e-9)
+    report = verify_maximizer_sweep((15, 5))
     assert report.checked == 1001
     assert report.violations == []
+    assert f"{report.max_gap:.3e}" == "2.220e-16"  # as `qdiv verify` prints it
 
 
 def test_special_case_margin():

@@ -31,12 +31,12 @@ def run(capsys, *argv):
     return code, captured.out.strip().split("\n"), captured.err
 
 
-def run_fresh(cwd, *argv):
+def run_fresh(cwd, *argv, timeout=60):
     # a fresh interpreter, so stderr is exactly what a shell user sees
     env = dict(os.environ, PYTHONPATH=str(Path(qdiv.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "qdiv", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -157,11 +157,20 @@ class TestVerify:
         assert out[2].startswith("max_gap=")
 
     def test_budget_exits_two(self, capsys):
-        code, _, err = run(
-            capsys, "verify", "--dots", "80", "--cells", "20", "--budget", "1000"
-        )
+        code, _, err = run(capsys, "verify", "--dots", "80", "--cells", "20")
         assert code == 2
         assert "budget" in err
+
+    def test_pairs_past_budget_exit_at_once(self, tmp_path):
+        # 118,755 distributions: 1.4e10 kl calls, hours if the sweep started
+        start = time.perf_counter()
+        proc = run_fresh(tmp_path, "verify", "--dots", "30", "--cells", "6", timeout=20)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "14102750025 pairs exceed the budget" in lines[0]
 
     def test_cells_past_budget_exits_two(self, capsys):
         code, out, err = run(capsys, "verify", "--dots", str(10**20), "--cells", str(10**20))
@@ -198,15 +207,16 @@ class TestExperimentCommands:
         assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_pairwise_budget_exits_two(self, capsys, tmp_path):
+        # 1820**2 = 3,312,400 pairs
         code, _, err = run(
             capsys,
             "pairwise",
-            "--dots", "15", "--cells", "5",
+            "--dots", "17", "--cells", "5",
             "--out", str(tmp_path / "x.csv"),
-            "--budget", "10",
         )
         assert code == 2
         assert "budget" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_uniform_study(self, capsys, tmp_path):
         out_csv = tmp_path / "study.csv"
@@ -346,6 +356,11 @@ class TestNoTraceback:
             ("tables", "--cells", "3..2", "--out-dir", "t"),
             ("tables", "--multipliers", "", "--out-dir", "t"),
             ("pairwise", "--dots", "6", "--cells", "3", "--out", "missing/dir/p.csv"),
+            # a ratio of multiplicities past the largest float, and a
+            # probability below the smallest (jsd divides 0.0 by 0.0)
+            ("maximize", "--p", "1" + "0" * 400 + ",1"),
+            ("compare", "--p", "1" + "0" * 400 + ",1", "--q", "1,1" + "0" * 400),
+            ("compare", "--p", "1" + "0" * 400 + ",1", "--q", "1" + "0" * 400 + ",1"),
         ],
     )
     def test_invalid_input_is_one_error_line(self, tmp_path, argv):
@@ -366,9 +381,8 @@ HUGE_SQUARE = st.integers(1, 10**30).map(lambda k: (str(k), str(k)))
 DOMAIN = st.tuples(NUMBER, NUMBER) | DEEP.map(lambda d: tuple(map(str, d)))
 MULTIPLICITIES = st.sampled_from(
     ["", ",", "0", "-1,2", "a,b", "1,,1", "1.5,2", " 3 , 2 ", "2,1,1", "9" * 30 + ",1",
-     ",".join(["1"] * 1100), "9" * 5000]
+     ",".join(["1"] * 1100), "9" * 5000, "1" + "0" * 400 + ",1", "1,1" + "0" * 400]
 ) | st.lists(st.integers(-1, 5), min_size=1, max_size=6).map(lambda ks: ",".join(map(str, ks)))
-BUDGET = st.integers(-5, 5).map(str) | st.sampled_from(["10000000", "x"])
 OUT = st.sampled_from(["{tmp}/o.csv", "{tmp}/missing/o.csv", "{tmp}/", "{tmp}/file"])
 TABLE_GRID = st.tuples(
     st.sampled_from(["", "0..1", "3..2", "-2..3", "a..b", "2..3", "1,2,,4"]),
@@ -395,8 +409,6 @@ def hostile_argv(draw):
     argv += ["--dots", dots, "--cells", cells]
     if command == "count":
         return argv
-    if command in ("verify", "pairwise"):
-        argv += ["--budget", draw(BUDGET)]
     if command != "verify":
         argv += ["--out", draw(OUT)]
     return argv
@@ -409,6 +421,9 @@ def hostile_argv(draw):
 @example(["uniform-study", "--dots", "2200", "--cells", "1100", "--out", "{tmp}/u.csv"])
 @example(["rank", "--dots", "2200", "--cells", "1100", "--out", "{tmp}/r.csv"])
 @example(["tables", "--cells", "1100", "--multipliers", "2", "--out-dir", "{tmp}"])
+@example(["verify", "--dots", "30", "--cells", "6"])
+@example(["pairwise", "--dots", "17", "--cells", "5", "--out", "{tmp}/p.csv"])
+@example(["maximize", "--p", "1" + "0" * 400 + ",1"])
 @settings(max_examples=300, deadline=None)
 def test_hostile_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -14,6 +14,7 @@ from qdiv import (
     enumerate_ordered,
     enumerate_unordered,
 )
+from qdiv.errors import CELLS_BUDGET, COUNT_BUDGET, PAIR_BUDGET, STUDY_BUDGET, check_budget
 
 
 def test_counts_small_domain():
@@ -143,3 +144,10 @@ def test_count_past_budget_raises_before_its_table():
 def test_cells_past_budget_raise_before_the_first_list(enumerate_):
     with pytest.raises(BudgetExceeded):
         next(enumerate_(10**20, 10**20))
+
+
+@pytest.mark.parametrize("budget", [PAIR_BUDGET, STUDY_BUDGET, COUNT_BUDGET, CELLS_BUDGET])
+def test_check_budget_boundary(budget):
+    check_budget(budget, budget, "units")  # a size at the budget is allowed
+    with pytest.raises(BudgetExceeded, match=f"^{budget + 1} units exceed the budget of {budget}$"):
+        check_budget(budget + 1, budget, "units")

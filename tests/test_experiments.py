@@ -94,8 +94,9 @@ class TestPairwise:
         assert peak < 2 * out.stat().st_size
 
     def test_budget_enforced(self, tmp_path):
+        # 1820**2 = 3,312,400 pairs, past PAIR_BUDGET
         with pytest.raises(BudgetExceeded):
-            run_pairwise_experiment(15, 5, tmp_path / "x.csv", budget=100)
+            run_pairwise_experiment(17, 5, tmp_path / "x.csv")
 
     def test_summary_contents(self, tmp_path):
         out = tmp_path / "pairs.csv"
