@@ -6,9 +6,10 @@ probability k_i / M, an integer multiple of the quantum 1/M. Every cell is
 strictly positive by construction, which is what makes divergence values
 against these distributions finite and bounded.
 
-Multiplicities are kept as exact integers; probabilities are derived views
-computed in double precision on demand. Equality always compares the integer
-multiplicities, never floats.
+Multiplicities are kept as exact integers, and their total M is summed once
+when an instance is made; probabilities are derived views computed in double
+precision on demand. Equality always compares the integer multiplicities,
+never floats.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ class QuantumDistribution:
             if k < 1:
                 raise ZeroCell(f"every cell needs multiplicity >= 1, got {k}")
         object.__setattr__(self, "multiplicities", ms)
+        object.__setattr__(self, "_total", sum(ms))
 
     @property
     def total(self) -> int:
-        """M, the sum of all multiplicities."""
-        return sum(self.multiplicities)
+        """M, the sum of all multiplicities, summed once when the instance is made."""
+        return self._total
 
     @property
     def cardinality(self) -> int:

@@ -40,22 +40,38 @@ class MaximizerResult:
 
 
 def _check_cells(p: QuantumDistribution, q: QuantumDistribution) -> None:
-    if p.cardinality != q.cardinality:
+    if len(p.multiplicities) != len(q.multiplicities):
         raise DomainMismatch(
             f"cannot compare {p.cardinality} cells against {q.cardinality}"
         )
 
 
+def _common_total(p: QuantumDistribution, q: QuantumDistribution) -> int:
+    """M shared by a same-quantum pair with equal cell counts."""
+    _check_cells(p, q)
+    m = p.total
+    if m != q.total:
+        raise QuantumMismatch(
+            f"totals differ ({m} vs {q.total}); rescale to a common quantum first"
+        )
+    return m
+
+
 # Per-cell terms of kl, jsd and hellinger_squared for multiplicities kp, kq
-# on the quantum 1/m. _cell_sum and measures() both evaluate these, so the
-# scalar functions and the kernel agree bit for bit.
+# on the quantum 1/m. measures() builds its tables from these and _cell_sum
+# adds them up, so the scalar functions and the kernel agree bit for bit.
 def _kl_term(kp: int, kq: int, m: int) -> float:
+    # the same expression as the loop in kl()
     return (kp / m) * math.log2(kp / kq)
 
 
 def _jsd_term(kp: int, kq: int, m: int) -> float:
     a = kp / m
     b = kq / m
+    if a == b:
+        # both equal their mixture and the formula gives 0.0; this also
+        # spares a 0.0 / 0.0 where both probabilities underflow
+        return 0.0
     mid = 0.5 * (a + b)
     return a * math.log2(a / mid) + b * math.log2(b / mid)
 
@@ -67,13 +83,7 @@ def _hellinger_term(kp: int, kq: int, m: int) -> float:
 
 def _cell_sum(p: QuantumDistribution, q: QuantumDistribution, term) -> float:
     """term over each cell of a same-quantum pair, added left to right."""
-    _check_cells(p, q)
-    if p.total != q.total:
-        raise QuantumMismatch(
-            f"totals differ ({p.total} vs {q.total}); rescale to a common "
-            "quantum first"
-        )
-    m = p.total
+    m = _common_total(p, q)
     total = 0.0
     for kp, kq in zip(p.multiplicities, q.multiplicities):
         total += term(kp, kq, m)
@@ -85,8 +95,15 @@ def kl(p: QuantumDistribution, q: QuantumDistribution) -> float:
 
     Non-negative, zero exactly when the distributions are equal. Finite for
     every valid pair because quantum distributions have no zero cells.
+    The oracle makes one call per pair, so the term is written out here
+    rather than called through _cell_sum.
     """
-    return _cell_sum(p, q, _kl_term)
+    m = _common_total(p, q)
+    total = 0.0
+    for kp, kq in zip(p.multiplicities, q.multiplicities):
+        # the same expression as _kl_term, so kl equals measures()["kl"]
+        total += (kp / m) * math.log2(kp / kq)
+    return total
 
 
 def build_maximizer(p: QuantumDistribution) -> MaximizerResult:

@@ -125,6 +125,14 @@ class TestCompare:
         measured = (kl, kn, jsd, hellinger, jaccard_distance)
         assert out == [f"{name}={fn(p, q):.6f}" for name, fn in zip(MEASURE_LABELS, measured)]
 
+    def test_identical_inputs_with_underflowing_cell_print_zeros(self, tmp_path):
+        # the small cell's probability underflows to 0.0 on both sides
+        p = "1" + "0" * 400 + ",1"
+        proc = run_fresh(tmp_path, "compare", "--p", p, "--q", p)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [f"{name}=0.000000" for name in MEASURE_LABELS]
+
     def test_any_failing_measure_prints_nothing(self, capsys):
         # jaccard alone takes any totals, but compare runs every measure
         code, out, err = run(
@@ -356,11 +364,9 @@ class TestNoTraceback:
             ("tables", "--cells", "3..2", "--out-dir", "t"),
             ("tables", "--multipliers", "", "--out-dir", "t"),
             ("pairwise", "--dots", "6", "--cells", "3", "--out", "missing/dir/p.csv"),
-            # a ratio of multiplicities past the largest float, and a
-            # probability below the smallest (jsd divides 0.0 by 0.0)
+            # a ratio of multiplicities past the largest float
             ("maximize", "--p", "1" + "0" * 400 + ",1"),
             ("compare", "--p", "1" + "0" * 400 + ",1", "--q", "1,1" + "0" * 400),
-            ("compare", "--p", "1" + "0" * 400 + ",1", "--q", "1" + "0" * 400 + ",1"),
         ],
     )
     def test_invalid_input_is_one_error_line(self, tmp_path, argv):

@@ -114,6 +114,34 @@ class TestMakeComparable:
                 assert math.isclose(x, y, rel_tol=0, abs_tol=1e-12)
 
 
+class TestCachedTotal:
+    def test_total_is_a_property(self):
+        # summed once in __post_init__, read through the class's property
+        assert isinstance(QuantumDistribution.__dict__["total"], property)
+
+    def test_enumerated_and_ordered(self):
+        from qdiv import enumerate_ordered, enumerate_unordered
+
+        for d in enumerate_unordered(12, 4):
+            assert d.total == sum(d.multiplicities) == 12
+            assert d.ordered().total == 12
+        for d in enumerate_ordered(12, 4):
+            assert isinstance(d, OrderedQuantumDistribution)
+            assert d.total == sum(d.multiplicities) == 12
+
+    @given(multiplicity_lists, multiplicity_lists)
+    def test_rescaled(self, counts_a, counts_b):
+        a = from_multiplicities(counts_a)
+        b = from_multiplicities(counts_b).ordered()
+        for d in make_comparable(a, b):
+            assert d.total == sum(d.multiplicities) == math.lcm(a.total, b.total)
+
+    def test_past_any_float(self):
+        d = from_multiplicities([10**400, 3, 10**400 + 1])
+        assert d.total == sum(d.multiplicities) == 2 * 10**400 + 4
+        assert parse_distribution(format_distribution(d)).total == d.total
+
+
 class TestParsing:
     def test_round_trip(self):
         d = parse_distribution("4,3,2,2,1")

@@ -24,6 +24,7 @@ from qdiv import (
     make_comparable,
     measures,
 )
+from qdiv.divergence import _kl_term
 
 
 def pair_strategy(max_cells=6, max_value=30):
@@ -116,14 +117,16 @@ class TestMaximizer:
 
 class TestValidation:
     def test_cells_must_match(self):
-        with pytest.raises(DomainMismatch):
-            kl(from_multiplicities([2, 1, 1]), from_multiplicities([2, 2]))
+        for measure in (kl, jsd, hellinger):
+            with pytest.raises(DomainMismatch, match=r"^cannot compare 3 cells against 2$"):
+                measure(from_multiplicities([2, 1, 1]), from_multiplicities([2, 2]))
 
     def test_quantum_must_match(self):
         p = from_multiplicities([2, 1, 1])
         q = from_multiplicities([3, 2, 1])
+        message = r"^totals differ \(4 vs 6\); rescale to a common quantum first$"
         for measure in (kl, kn, jsd, hellinger):
-            with pytest.raises(QuantumMismatch):
+            with pytest.raises(QuantumMismatch, match=message):
                 measure(p, q)
 
     def test_jaccard_ignores_quantum(self):
@@ -133,6 +136,33 @@ class TestValidation:
         assert jaccard_distance(p, q) == pytest.approx(1 - 4 / 6, abs=1e-12)
         with pytest.raises(DomainMismatch):
             jaccard_distance(p, from_multiplicities([1, 1]))
+
+
+class TestScalarLoop:
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                *[st.lists(st.integers(1, 2**70), min_size=n, max_size=n)] * 2
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kl_equals_term_loop_bitwise(self, counts):
+        p, q = make_comparable(*map(from_multiplicities, counts))
+        m = p.total
+        reference = 0.0
+        for kp, kq in zip(p.multiplicities, q.multiplicities):
+            reference += _kl_term(kp, kq, m)
+        assert kl(p, q) == reference
+        assert kl(p, p) == 0.0
+
+    def test_jsd_of_underflowing_cells(self):
+        # 2 / m and 1 / m are both 0.0 here, as is the true term (about 1e-400)
+        big = 2 * 10**400
+        p = from_multiplicities([big, 2, 1])
+        q = from_multiplicities([big, 1, 2])
+        assert jsd(p, q) == 0.0
+        assert jsd(p, p) == 0.0
 
 
 class TestBatchedKernel:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdiv.oracle
 from qdiv import (
     BudgetExceeded,
     brute_force_max_kl,
@@ -57,6 +58,22 @@ class TestSweep:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
             verify_maximizer_sweep((100, 50))
+
+    def test_one_kl_call_per_pair(self, monkeypatch):
+        # the benchmark's traced verify expects exactly N * N oracle kl calls
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return kl(p, q)
+
+        monkeypatch.setattr(qdiv.oracle, "kl", counted)
+        verify_maximizer_sweep((6, 3))
+        assert len(calls) == 10 * 10
+        assert len(set(calls)) == 100
+        calls.clear()
+        brute_force_max_kl(from_multiplicities([3, 2, 1]))
+        assert len(calls) == 10
 
 
 class TestSpecialCaseGap:
