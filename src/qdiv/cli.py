@@ -1,12 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when inputs fail a precondition (the
-ValueError family raised by the library), a probability or ratio of
-multiplicities falls outside float range (OverflowError, or a
-ZeroDivisionError on an underflowed zero) or a file cannot be written
-(OSError), 2 when a budget is exceeded. argparse keeps its native
-behavior of exiting with 2 on usage errors, which deliberately reads as
-"this run was too much to even start".
+ValueError family raised by the library) or a file cannot be written
+(OSError), 2 when a budget is exceeded. An OverflowError or
+ZeroDivisionError from float arithmetic also exits 1; the measures give
+finite values for multiplicities of any size, so no known input reaches
+it. argparse keeps its native behavior of exiting with 2 on usage errors,
+which deliberately reads as "this run was too much to even start".
 
 Cells are reported 1-based on the command line; library objects index
 them 0-based.

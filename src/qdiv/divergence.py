@@ -61,19 +61,24 @@ def _common_total(p: QuantumDistribution, q: QuantumDistribution) -> int:
 # on the quantum 1/m. measures() builds its tables from these and _cell_sum
 # adds them up, so the scalar functions and the kernel agree bit for bit.
 def _kl_term(kp: int, kq: int, m: int) -> float:
-    # the same expression as the loop in kl()
-    return (kp / m) * math.log2(kp / kq)
+    try:
+        # the same expression as the loop in kl()
+        return (kp / m) * math.log2(kp / kq)
+    except (OverflowError, ValueError):
+        # kp / kq overflows, or underflows to 0.0: log each exact int instead
+        return (kp / m) * (math.log2(kp) - math.log2(kq))
 
 
 def _jsd_term(kp: int, kq: int, m: int) -> float:
     a = kp / m
     b = kq / m
-    if a == b:
-        # both equal their mixture and the formula gives 0.0; this also
-        # spares a 0.0 / 0.0 where both probabilities underflow
-        return 0.0
     mid = 0.5 * (a + b)
-    return a * math.log2(a / mid) + b * math.log2(b / mid)
+    if a == b or mid == 0.0:
+        # the formula gives 0.0 on equal terms, and below the least float on
+        # a mixture that underflows to 0.0, which it would divide by
+        return 0.0
+    # x * log2(x / mid) tends to 0.0 with x, where a probability can underflow
+    return (a * math.log2(a / mid) if a else 0.0) + (b * math.log2(b / mid) if b else 0.0)
 
 
 def _hellinger_term(kp: int, kq: int, m: int) -> float:
@@ -96,13 +101,17 @@ def kl(p: QuantumDistribution, q: QuantumDistribution) -> float:
     Non-negative, zero exactly when the distributions are equal. Finite for
     every valid pair because quantum distributions have no zero cells.
     The oracle makes one call per pair, so the term is written out here
-    rather than called through _cell_sum.
+    rather than called through _cell_sum; a ratio of multiplicities past
+    float range sends the pair through _cell_sum and _kl_term's fallback.
     """
     m = _common_total(p, q)
     total = 0.0
-    for kp, kq in zip(p.multiplicities, q.multiplicities):
-        # the same expression as _kl_term, so kl equals measures()["kl"]
-        total += (kp / m) * math.log2(kp / kq)
+    try:
+        for kp, kq in zip(p.multiplicities, q.multiplicities):
+            # the same expression as _kl_term, so kl equals measures()["kl"]
+            total += (kp / m) * math.log2(kp / kq)
+    except (OverflowError, ValueError):
+        return _cell_sum(p, q, _kl_term)
     return total
 
 

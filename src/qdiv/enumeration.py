@@ -3,28 +3,18 @@
 Unordered distributions over n cells with total M are the compositions of M
 into n positive parts; ordered ones are the partitions of M into exactly n
 parts. Both stream in lexicographically descending order of the multiplicity
-vector, and both counts are exact big integers.
+vector, and both counts are exact big integers. The successor generators run
+every check of an enumeration and yield the tuples that the experiments read
+and that the enumerate_* generators wrap in validated objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .distributions import OrderedQuantumDistribution, QuantumDistribution
 from .errors import CELLS_BUDGET, COUNT_BUDGET, InvalidSpec, check_budget
-
-
-@dataclass(frozen=True)
-class EnumerationSpec:
-    """A (total, cells) pair with total >= cells >= 1."""
-
-    total: int
-    cells: int
-
-    def __post_init__(self) -> None:
-        _check(self.total, self.cells)
 
 
 def _check(total: int, cells: int) -> None:
@@ -75,6 +65,8 @@ def _compositions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
     is above 1 by one unit; the parts after it, all 1 but the last, become
     the largest tail of the new sum: (last + 1, 1, ..., 1).
     """
+    _check(total, cells)
+    check_budget(cells, CELLS_BUDGET, "cells")
     parts = [total - cells + 1] + [1] * (cells - 1)
     while True:
         yield tuple(parts)
@@ -97,6 +89,8 @@ def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
     part as large as the lowered part and the positive parts after it
     allow (after Knuth, TAOCP 4A, 7.2.1.4).
     """
+    _check(total, cells)
+    check_budget(cells, CELLS_BUDGET, "cells")
     parts = [total - cells + 1] + [1] * (cells - 1)
     while True:
         yield tuple(parts)
@@ -118,15 +112,11 @@ def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]:
     """Yield every unordered quantum distribution once, lex-descending."""
-    _check(total, cells)
-    check_budget(cells, CELLS_BUDGET, "cells")
     for parts in _compositions(total, cells):
         yield QuantumDistribution(parts)
 
 
 def enumerate_ordered(total: int, cells: int) -> Iterator[OrderedQuantumDistribution]:
     """Yield every ordered quantum distribution once, lex-descending."""
-    _check(total, cells)
-    check_budget(cells, CELLS_BUDGET, "cells")
     for parts in _partitions(total, cells):
         yield OrderedQuantumDistribution(parts)

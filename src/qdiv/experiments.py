@@ -10,6 +10,10 @@ pairs at a time as a uint8 matrix of digits, byte-identical to str.format's
 takes each column's mean and sum of squares once (stats.pearson_pairs),
 with coefficients equal bit for bit to stats.pearson's.
 
+Every experiment takes multiplicity tuples straight from the enumeration's
+successor generators and formats them itself; only the uniform-study CSV
+builds a distribution per row, for distribution_properties.
+
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
 form the summary tables are defined over. Rankings are unaffected (squaring
@@ -26,15 +30,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._pairrows import write_pair_rows
-from .distributions import OrderedQuantumDistribution, format_distribution
+from .distributions import QuantumDistribution
 from .divergence import MEASURE_LABELS, measures
-from .enumeration import (
-    EnumerationSpec,
-    count_ordered,
-    count_unordered,
-    enumerate_ordered,
-    enumerate_unordered,
-)
+from .enumeration import _check, _compositions, _partitions, count_ordered, count_unordered
 from .errors import (
     PAIR_BUDGET,
     STUDY_BUDGET,
@@ -59,18 +57,19 @@ TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 class UniformStudy:
     """Every ordered distribution of one domain against the uniform one.
 
-    values maps each of TABLE_MEASURES to its column of floats, in the
-    order of distributions. Asymmetric measures put the enumerated
-    distribution first: kl(P, uniform) and kn(P, uniform). hellinger holds
-    the squared form (see module docstring). Ranks are computed on demand,
-    by the writers that print or correlate them.
+    counts holds each distribution's multiplicity tuple, lex-descending;
+    values maps each of TABLE_MEASURES to its column of floats, in the same
+    order. Asymmetric measures put the enumerated distribution first:
+    kl(P, uniform) and kn(P, uniform). hellinger holds the squared form (see
+    module docstring). Ranks are computed on demand, by the writers that
+    print or correlate them.
     """
 
-    distributions: list[OrderedQuantumDistribution]
+    counts: list[tuple[int, ...]]
     values: dict[str, list[float]]
 
     def __len__(self) -> int:
-        return len(self.distributions)
+        return len(self.counts)
 
     def ranks(self) -> dict[str, list[float]]:
         """Each measure's ranks, ascending by value with average ties."""
@@ -128,7 +127,7 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     pairs = count * count
     check_budget(pairs, PAIR_BUDGET, "pairs")
 
-    counts = [d.multiplicities for d in enumerate_unordered(total, cells)]
+    counts = list(_compositions(total, cells))
     values = measures(counts, counts, total)
     values["hellinger"] = np.sqrt(values.pop("hellinger_squared"))
 
@@ -170,15 +169,15 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     the same quantum. Raises BudgetExceeded before enumerating when the
     distributions hold more than STUDY_BUDGET multiplicities in all.
     """
-    EnumerationSpec(total, cells)  # raises InvalidSpec before cells divides anything
+    _check(total, cells)  # raises InvalidSpec before cells divides anything
     if total % cells != 0:
         raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
     check_budget(count_ordered(total, cells) * cells, STUDY_BUDGET, "multiplicities")
-    dists = list(enumerate_ordered(total, cells))
-    kernel = measures([p.multiplicities for p in dists], [(total // cells,) * cells], total)
+    counts = list(_partitions(total, cells))
+    kernel = measures(counts, [(total // cells,) * cells], total)
     kernel["hellinger"] = kernel.pop("hellinger_squared")
     # pop frees each array once its column of floats exists
-    return UniformStudy(dists, {m: kernel.pop(m)[:, 0].tolist() for m in TABLE_MEASURES})
+    return UniformStudy(counts, {m: kernel.pop(m)[:, 0].tolist() for m in TABLE_MEASURES})
 
 
 def write_uniform_study_csv(study: UniformStudy, out_path: str | Path) -> Path:
@@ -191,14 +190,14 @@ def write_uniform_study_csv(study: UniformStudy, out_path: str | Path) -> Path:
     )
     lines = [header]
     ranks = study.ranks()
-    for i, p in enumerate(study.distributions):
-        props = distribution_properties(p)
+    for i, counts in enumerate(study.counts):
+        props = distribution_properties(QuantumDistribution(counts))
         skew = _f6(props.skewness) if props.skewness is not None else ""
         kurt = _f6(props.excess_kurtosis) if props.excess_kurtosis is not None else ""
         measured = ",".join(_f6(study.values[m][i]) for m in TABLE_MEASURES)
         ranked = ",".join(f"{ranks[m][i]:.1f}" for m in TABLE_MEASURES)
         lines.append(
-            f'"{format_distribution(p)}",{measured},'
+            f'"{",".join(map(str, counts))}",{measured},'
             f"{_f6(props.entropy)},{_f6(props.cv)},{skew},{kurt},{ranked}"
         )
     _write_text(out_path, lines)
@@ -256,9 +255,9 @@ def run_rank_comparison(
     study = run_uniform_study(total, cells)
     ranks = study.ranks()
     lines = ["distribution," + ",".join(f"rank_{m}" for m in TABLE_MEASURES)]
-    for i, p in enumerate(study.distributions):
+    for i, counts in enumerate(study.counts):
         ranked = ",".join(f"{ranks[m][i]:.1f}" for m in TABLE_MEASURES)
-        lines.append(f'"{format_distribution(p)}",{ranked}')
+        lines.append(f'"{",".join(map(str, counts))}",{ranked}')
     _write_text(out_path, lines)
 
     # spearman is pearson on fractional ranks

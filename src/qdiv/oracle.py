@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .distributions import QuantumDistribution
 from .divergence import build_maximizer, kl
-from .enumeration import EnumerationSpec, count_unordered, enumerate_unordered
+from .enumeration import count_unordered, enumerate_unordered
 from .errors import PAIR_BUDGET, check_budget
 
 # a brute-force opponent beating the maximizer by more than this is a violation
@@ -30,7 +30,7 @@ class MaximalityReport:
     seen anywhere; float rounding noise when the construction is optimal.
     """
 
-    spec: EnumerationSpec
+    spec: tuple[int, int]
     checked: int = 0
     violations: list[tuple[QuantumDistribution, QuantumDistribution, float, float]] = field(
         default_factory=list
@@ -63,18 +63,17 @@ def brute_force_max_kl(p: QuantumDistribution) -> tuple[QuantumDistribution, flo
     return _best_opponent(p, enumerate_unordered(p.total, p.cardinality))
 
 
-def verify_maximizer_sweep(spec: EnumerationSpec | tuple[int, int]) -> MaximalityReport:
-    """Compare build_maximizer against brute force for every P in the space.
+def verify_maximizer_sweep(spec: tuple[int, int]) -> MaximalityReport:
+    """Compare build_maximizer against brute force for every P of (total, cells).
 
     Scores all N*N pairs (P, Q); raises BudgetExceeded before enumerating
     when they would pass PAIR_BUDGET.
     """
-    if not isinstance(spec, EnumerationSpec):
-        spec = EnumerationSpec(*spec)
-    check_budget(count_unordered(spec.total, spec.cells) ** 2, PAIR_BUDGET, "pairs")
-    report = MaximalityReport(spec=spec)
+    total, cells = spec
+    check_budget(count_unordered(total, cells) ** 2, PAIR_BUDGET, "pairs")
+    report = MaximalityReport(spec=(total, cells))
     # Opponents are the same list for every P; materialize once.
-    opponents = list(enumerate_unordered(spec.total, spec.cells))
+    opponents = list(enumerate_unordered(total, cells))
     for p in opponents:
         constructed = build_maximizer(p).max_divergence
         best_q, best = _best_opponent(p, opponents)

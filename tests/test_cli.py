@@ -364,9 +364,6 @@ class TestNoTraceback:
             ("tables", "--cells", "3..2", "--out-dir", "t"),
             ("tables", "--multipliers", "", "--out-dir", "t"),
             ("pairwise", "--dots", "6", "--cells", "3", "--out", "missing/dir/p.csv"),
-            # a ratio of multiplicities past the largest float
-            ("maximize", "--p", "1" + "0" * 400 + ",1"),
-            ("compare", "--p", "1" + "0" * 400 + ",1", "--q", "1,1" + "0" * 400),
         ],
     )
     def test_invalid_input_is_one_error_line(self, tmp_path, argv):
@@ -375,6 +372,26 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("maximize", "--p", f"{BIG},1"),
+             [f"maximizer=1,{BIG}", "kl_max=1328.771238", "argmin_cell=2"]),
+            (("compare", "--p", f"{BIG},1", "--q", f"1,{BIG}"),
+             ["kl=1328.771238"] + [f"{name}=1.000000" for name in MEASURE_LABELS[1:]]),
+        ],
+        ids=["maximize", "compare"],
+    )
+    def test_ratio_past_float_range_is_finite(self, tmp_path, argv, expected):
+        # 10**400 / 1 overflows a float and 1 / 10**400 underflows to 0.0;
+        # kl is about log2(10**400) = 1328.77 bits, the other measures 1
+        proc = run_fresh(tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == expected
 
 
 # Hostile argument values for every subcommand. Domains stay small, or deep

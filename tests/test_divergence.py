@@ -164,6 +164,26 @@ class TestScalarLoop:
         assert jsd(p, q) == 0.0
         assert jsd(p, p) == 0.0
 
+    def test_ratio_past_float_range(self):
+        # 10**400 / 1 overflows a float and 1 / 10**400 underflows to 0.0
+        big = 10**400
+        p = from_multiplicities([big, 1])
+        q = from_multiplicities([1, big])
+        m = p.total
+        assert kl(p, q) == 0.0 + _kl_term(big, 1, m) + _kl_term(1, big, m)
+        assert kl(p, q) == pytest.approx(400 * math.log2(10), rel=1e-15)
+        assert kl(q, p) == kl(p, q)
+        assert jsd(p, q) == 1.0
+
+    def test_jsd_where_the_mixture_underflows(self):
+        # 5 * 10**76 / 10**400 rounds to the least float above 0.0, and half
+        # of it to 0.0; the true jsd is about 5e-324
+        big, k = 10**400, 5 * 10**76
+        p = from_multiplicities([big - k - 1, k, 1])
+        q = from_multiplicities([big - k - 1, 1, k])
+        assert k / p.total == 5e-324
+        assert 0.0 <= jsd(p, q) < 1e-320
+
 
 class TestBatchedKernel:
     @given(pair_strategy(max_cells=10))

@@ -13,6 +13,7 @@ from qdiv import (
     MEASURE_LABELS,
     BudgetExceeded,
     NonUniformCapable,
+    QuantumDistribution,
     distribution_properties,
     emit_tables,
     enumerate_ordered,
@@ -250,8 +251,8 @@ class TestUniformStudy:
     def test_row_count_and_order(self):
         study = run_uniform_study(12, 6)
         assert len(study) == 11
-        assert study.distributions[0].multiplicities == (7, 1, 1, 1, 1, 1)
-        assert study.distributions[-1].multiplicities == (2, 2, 2, 2, 2, 2)
+        assert study.counts[0] == (7, 1, 1, 1, 1, 1)
+        assert study.counts[-1] == (2, 2, 2, 2, 2, 2)
         assert list(study.values) == list(MEASURES)
         for column in study.values.values():
             assert len(column) == 11
@@ -260,7 +261,7 @@ class TestUniformStudy:
     def test_uniform_row_is_zero_and_rank_one(self):
         study = run_uniform_study(12, 6)
         ranks = study.ranks()
-        assert study.distributions[-1].multiplicities == (2,) * 6
+        assert study.counts[-1] == (2,) * 6
         for measure in MEASURES:
             assert study.values[measure][-1] == 0.0
             assert ranks[measure][-1] == 1.0
@@ -268,7 +269,8 @@ class TestUniformStudy:
     def test_hellinger_column_is_squared_form(self):
         uniform = from_multiplicities([2] * 6)
         study = run_uniform_study(12, 6)
-        for i, p in enumerate(study.distributions):
+        for i, counts in enumerate(study.counts):
+            p = from_multiplicities(counts)
             assert study.values["hellinger"][i] == hellinger_squared(p, uniform)
             assert study.values["kl"][i] == kl(p, uniform)
 
@@ -279,7 +281,7 @@ class TestUniformStudy:
         }
         study = run_uniform_study(32, 8)
         for name, fn in scalar.items():
-            expected = [fn(p, uniform) for p in study.distributions]
+            expected = [fn(from_multiplicities(c), uniform) for c in study.counts]
             assert study.values[name] == expected, name
 
     def test_properties_attached(self, tmp_path):
@@ -289,9 +291,9 @@ class TestUniformStudy:
             records = list(csv.DictReader(fh))
         assert len(records) == len(study)
         columns = ("entropy", "cv", "skewness", "excess_kurtosis")
-        for p, record in zip(study.distributions, records):
-            assert record["distribution"] == ",".join(map(str, p.multiplicities))
-            props = distribution_properties(p)
+        for counts, record in zip(study.counts, records):
+            assert record["distribution"] == ",".join(map(str, counts))
+            props = distribution_properties(from_multiplicities(counts))
             expected = (props.entropy, props.cv, props.skewness, props.excess_kurtosis)
             for column, value in zip(columns, expected):
                 assert record[column] == ("" if value is None else f"{value:.6f}"), column
@@ -360,7 +362,7 @@ class TestReferenceUniformStudy:
         study = run_uniform_study(32, 8)
         assert len(study) == 919
         top = max(range(len(study)), key=study.values["kn"].__getitem__)
-        assert study.distributions[top].multiplicities == (25, 1, 1, 1, 1, 1, 1, 1)
+        assert study.counts[top] == (25, 1, 1, 1, 1, 1, 1, 1)
         assert study.values["kn"][top] == pytest.approx(0.4672, abs=1e-3)
         for measure in ("kl", "jsd", "hellinger", "jaccard"):
             column = study.values[measure]
@@ -403,3 +405,43 @@ class TestRankComparison:
         matrix = read_lines(result.spearman_path)
         assert matrix[0] == "measure,kn,kl,jsd,hellinger,jaccard"
         assert matrix[1:] == [f"{m},,,,," for m in MEASURES]
+
+
+class TestTupleRows:
+    """Experiments read multiplicity tuples; only the study CSV makes objects."""
+
+    @pytest.fixture
+    def instances(self, monkeypatch):
+        # OrderedQuantumDistribution reaches this through super(), so every
+        # instance of either class is counted once
+        made = []
+        post_init = QuantumDistribution.__post_init__
+        monkeypatch.setattr(
+            QuantumDistribution, "__post_init__", lambda d: made.append(d) or post_init(d)
+        )
+        return made
+
+    def test_tables_make_no_distributions(self, tmp_path, instances):
+        emit_tables((6, 7), (2, 3), tmp_path)
+        assert instances == []
+
+    def test_rank_makes_no_distributions(self, tmp_path, instances):
+        run_rank_comparison(12, 6, tmp_path / "ranks.csv")
+        assert instances == []
+
+    def test_pairwise_makes_no_distributions(self, tmp_path, instances):
+        run_pairwise_experiment(6, 3, tmp_path / "pairs.csv")
+        assert instances == []
+
+    def test_study_csv_makes_one_per_row(self, tmp_path, instances):
+        study = run_uniform_study(12, 6)
+        assert instances == []
+        write_uniform_study_csv(study, tmp_path / "study.csv")
+        assert [d.multiplicities for d in instances] == study.counts
+
+    @pytest.mark.parametrize(
+        "total, cells", [(12, 6), (32, 8), (20, 4), (6, 3), (5, 5), (4, 1)]
+    )
+    def test_counts_equal_enumerate_ordered(self, total, cells):
+        study = run_uniform_study(total, cells)
+        assert study.counts == [d.multiplicities for d in enumerate_ordered(total, cells)]

@@ -15,7 +15,6 @@ from qdiv import (
     special_case_gap,
     verify_maximizer_sweep,
 )
-from qdiv.enumeration import EnumerationSpec
 
 
 class TestBruteForce:
@@ -50,10 +49,10 @@ class TestSweep:
             assert report.violations == []
             assert report.max_gap <= 1e-9
 
-    def test_accepts_enumeration_spec(self):
-        report = verify_maximizer_sweep(EnumerationSpec(6, 3))
+    def test_report_holds_the_pair(self):
+        report = verify_maximizer_sweep((6, 3))
         assert report.checked == 10
-        assert report.spec == EnumerationSpec(6, 3)
+        assert report.spec == (6, 3)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):

@@ -8,11 +8,13 @@ CSV of the reference battery, scripts/reproduce_experiments.py. Arguments come
 from perfbench/run.py (workload_steps) and the expected digests from
 perfbench/reference.json, which this module only reads. Any byte drift, such
 as a tie that splits differently in a rank column, fails here and not only
-in the benchmark.
+in the benchmark. The last two tests guard, from the package side, the names
+the benchmark's tracer (perfbench/spans.py) and its check_trace rely on.
 """
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import qdiv
+from qdiv import QuantumDistribution
 from qdiv.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,11 +39,12 @@ def _load_perfbench_run():
     return module
 
 
+RUN = _load_perfbench_run()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 STEPS = [
     (scale, step)
     for scale, workload in (("paper", "uniform"), ("tiny", "pairwise"), ("tiny", "verify"))
-    for step in _load_perfbench_run().workload_steps(workload, scale, threads=1)
+    for step in RUN.workload_steps(workload, scale, threads=1)
 ]
 
 
@@ -98,3 +102,34 @@ def test_reproduce_script_bytes_match_reference(tmp_path):
         with open(tmp_path / name, "rb") as fh:
             digest = hashlib.file_digest(fh, "sha256").hexdigest()
         assert digest == REFERENCE["paper"][label][output], name
+
+
+def test_every_traced_generator_has_a_closed_form():
+    # The tracer wraps every public generator function of a layer, as chosen
+    # here, and check_trace looks each one up by name among its closed forms:
+    # a generator without one stops every traced run.
+    step = RUN.Step(label="guard", argv=(), outputs=())
+    found = set()
+    for layer in RUN.LAYERS:
+        module = importlib.import_module(f"qdiv.{layer}")
+        for name, value in vars(module).items():
+            if (
+                name.startswith("_")
+                or not inspect.isgeneratorfunction(value)
+                or value.__module__ != module.__name__
+            ):
+                continue
+            found.add(name)
+            trace = {
+                "generators": [[name, [6, 3], sum(1 for _ in value(6, 3)), True]],
+                "rows": 0, "edges": {}, "offthread_calls": 0, "open_spans": 0,
+                "self_s": dict.fromkeys(RUN.LAYERS, 0.0),
+            }
+            assert RUN.check_trace(step, trace, 0.0) == [], name
+    assert {"enumerate_ordered", "enumerate_unordered"} <= found
+
+
+def test_distribution_hooks_the_tracer_wraps():
+    # the tracer counts instances and total reads through these two entries
+    assert isinstance(QuantumDistribution.__dict__["total"], property)
+    assert inspect.isfunction(QuantumDistribution.__dict__["__post_init__"])
