@@ -1,29 +1,30 @@
-"""Pairwise CSV rows from float columns, formatted as a byte matrix.
+"""Pairwise CSV rows from float columns, written in place as fixed-width slabs.
 
 The rows are those of "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\\n" for every
 (index_p, index_q) pair, byte for byte, without a str.format call per row.
-They are built as a uint8 matrix, PAIR_BLOCK rows at a time, one
-fixed-width row per pair; a mask drops the leading zeros of the indices and
-integer parts.
+For one index_p, the index_q values fall into at most four runs of equal
+digit count (0-9, 10-99, 100-999, 1000 up), and while every value prints as
+d.dddddd, all rows of one run have the same width. A block of whole index_p
+rows, as many as fit in PAIR_BLOCK pairs and at least one, is one uint8
+buffer of shape (index_p rows, bytes per index_p row); each index_q run is a
+strided view of it, a slab of shape (index_p rows, run length, row width).
+The buffer goes to the file as it is, with no mask and no gather.
 
-Digits go in three at a time as one 4-byte word: a 1,000-entry uint32 table
-maps k to the ASCII digits of k, zero-padded, followed by a fourth byte,
-stored little-endian through a "<u4" view of four matrix columns. The fourth
-byte is the one that follows the group in the row: "," after an index or a
-value, "." after an integer part, "\\n" after the last value. Inside a
-number it is a stray "," that the next group's word overwrites, so the words
-of a row go in from left to right; written the other way, the stray byte
-would land on a digit already in place. Every byte of a row is written by
-some word, so the matrix needs no constant columns.
+The "{i}," and "{j}," prefixes are copied from byte tables of the indices,
+broadcast along the other axis. A value is rounded to micro-units with
+np.rint(v * 1e6); its integer digit goes in as one byte, and its six
+fraction digits three at a time, each group as one 4-byte word from a
+1,000-entry uint32 table, stored little-endian through a "<u4" view of four
+slab columns. The first word holds the "." and three digits, the second
+three digits and the "," or "\\n" after the value, so every byte of a row
+is written and the buffer needs no constant columns.
 
-A value below _LARGE is rounded to micro-units with np.rint(v * 1e6). The
-product is within 1e-7 of the exact one, so the result equals
-format(v, ".6f") (correctly rounded from the exact binary value) wherever
-v * 1e6 lies more than _HALF_WINDOW from a half. A row with a cell nearer a
-half, negative (-0.0 too), not finite or from _LARGE up is formatted by
-_PAIR_ROW instead. Micro-units of a value below _LARGE stay below
-999,000,000, so they are split into digit groups in int32; indices are
-np.arange's int64.
+Below 10 the float product v * 1e6 is within 1e-9 of the exact one, so the
+result equals format(v, ".6f") (correctly rounded from the exact binary
+value) wherever v * 1e6 lies more than _HALF_WINDOW from a half. A row with a
+cell nearer a half, negative (-0.0 too), not finite or rounding to 10 or
+more is formatted by _PAIR_ROW instead; each run of such rows is formatted
+as one string and written between the parts of the buffer around it.
 
 The module is private to the package: experiments calls it for the one CSV
 whose row count is quadratic.
@@ -35,39 +36,69 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-PAIR_BLOCK = 4096  # about 0.3 MB of matrix and mask at 15/5
+PAIR_BLOCK = 16384  # measured: faster than 8,192, less memory than 32,768
 _HALF_WINDOW = 1e-6
-_LARGE = 999.0  # below it, at most three integer digits remain after rounding
 _PAIR_ROW = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\n".format
-_VALUE_WIDTH = len(",000.000000")
+_VALUE_WIDTH = len("0.000000,")
 
 
-def _digit_words(after: str) -> np.ndarray:
-    """Entry k: the three ASCII digits of k, zero-padded, then after, little-endian."""
-    k = np.arange(1000, dtype=np.uint32)
-    return (48 + k // 100) | (48 + k // 10 % 10) << 8 | (48 + k % 10) << 16 | ord(after) << 24
+def _words(template: str) -> np.ndarray:
+    """Entry k: the 4 ASCII bytes of template.format(k) as one little-endian word."""
+    return np.frombuffer("".join(map(template.format, range(1000))).encode(), "<u4")
 
 
-def _put_word(rows: np.ndarray, col: int, words: np.ndarray, group: np.ndarray) -> None:
-    """words[group] at rows[:, col:col + 4], one little-endian word a row."""
-    rows[:, col : col + 4].view("<u4")[:, 0] = words.take(group)
+def _index_bytes(lo: int, hi: int) -> np.ndarray:
+    """Row k: the bytes of "{lo + k},"; lo and hi - 1 have equally many digits."""
+    text = "".join(f"{k}," for k in range(lo, hi)).encode()
+    return np.frombuffer(text, np.uint8).reshape(hi - lo, -1)
 
 
-def _put_index(rows: np.ndarray, col: int, groups: int, words: np.ndarray, x: np.ndarray) -> None:
-    """The 3 * groups digits of each x, zero-padded, from rows[:, col], left to right."""
-    low = []
-    for _ in range(groups - 1):
-        high = x // 1000
-        low.append(x - high * 1000)
-        x = high
-    for k, group in enumerate([x, *reversed(low)]):
-        _put_word(rows, col + 3 * k, words, group)
+def _digits(v: np.ndarray, dot: np.ndarray, after: np.ndarray):
+    """Which cells print as d.dddddd; their integer digit byte and two words."""
+    scaled = v * 1e6
+    rounded = np.rint(scaled)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test as inf does
+        ok = ~np.signbit(v) & (rounded < 1e7) & (np.abs(scaled - rounded) < 0.5 - _HALF_WINDOW)
+    if not ok.all():
+        rounded[~ok] = 0.0  # nan and inf would not cast; _PAIR_ROW prints these rows
+    micro = rounded.astype(np.int32)
+    thousands, units = micro // 1000, micro // 1000000
+    return ok, units + 48, dot.take(thousands - units * 1000), after.take(micro - thousands * 1000)
 
 
-def _drop_leading_zeros(kept: np.ndarray, col: int, width: int, x: np.ndarray) -> None:
-    """Keep the digits of each x from its first significant one, at least one."""
-    for k in range(width - 1):
-        kept[:, col + k] = x >= 10 ** (width - 1 - k)
+def _write_block(fh, columns, words, runs, start, prefix) -> None:
+    """The rows of len(prefix) whole index_p rows, from pair start on."""
+    count, values = runs[-1][1], len(columns) * _VALUE_WIDTH
+    cells = [_digits(c[start : start + len(prefix) * count].reshape(-1, count), *w)
+             for c, w in zip(columns, words)]
+    slabs, width = [], 0  # (index_q run, its row width, its offset in an index_p row)
+    for lo, hi, q_index in runs:
+        row = prefix.shape[1] + q_index.shape[1] + values
+        slabs.append((lo, hi, q_index, row, width))
+        width += (hi - lo) * row
+    rows = np.empty((len(prefix), width), np.uint8)
+    for lo, hi, q_index, row, at in slabs:
+        slab = rows[:, at : at + (hi - lo) * row].reshape(len(prefix), hi - lo, row)
+        col = row - values
+        slab[:, :, : prefix.shape[1]] = prefix[:, None]
+        slab[:, :, prefix.shape[1] : col] = q_index
+        for _, unit, first, second in cells:
+            slab[:, :, col] = unit[:, lo:hi]
+            slab[:, :, col + 1 : col + 5].view("<u4")[..., 0] = first[:, lo:hi]
+            slab[:, :, col + 5 : col + 9].view("<u4")[..., 0] = second[:, lo:hi]
+            col += _VALUE_WIDTH
+    ok = np.logical_and.reduce([cell[0] for cell in cells]).ravel()
+    # rows r0 <= r < r1 go to _PAIR_ROW; row r starts at r // count * width + q_start[r % count]
+    edges = np.flatnonzero(np.diff(np.r_[True, ok, True])).tolist()
+    q_start = np.concatenate([at + row * np.arange(hi - lo) for lo, hi, _, row, at in slabs])
+    text, at = rows.reshape(-1), 0
+    for r0, r1 in zip(edges[::2], edges[1::2]):
+        fh.write(text[at : r0 // count * width + q_start[r0 % count]])
+        pairs = np.arange(start + r0, start + r1)
+        fields = [*np.divmod(pairs, count), *(c[pairs] for c in columns)]
+        fh.write("".join(map(_PAIR_ROW, *(f.tolist() for f in fields))).encode())
+        at = r1 // count * width + q_start[r1 % count]
+    fh.write(text[at:])
 
 
 def write_pair_rows(fh: BinaryIO, count: int, columns: Sequence[np.ndarray]) -> None:
@@ -76,44 +107,11 @@ def write_pair_rows(fh: BinaryIO, count: int, columns: Sequence[np.ndarray]) -> 
     columns are the measure columns in row-major pair order; the bytes equal
     _PAIR_ROW's for every pair.
     """
-    comma, dot = _digit_words(","), _digit_words(".")
-    afters = [comma] * (len(columns) - 1) + [_digit_words("\n")]  # the byte after each value
-    groups = -(-len(str(count - 1)) // 3)
-    width = 3 * groups
-    value_cols = [2 * width + 1 + k * _VALUE_WIDTH for k in range(len(columns))]
-    buf = np.empty((PAIR_BLOCK, value_cols[-1] + _VALUE_WIDTH + 1), np.uint8)
-    keep = np.ones(buf.shape, bool)
-
-    pairs = count * count
-    for start in range(0, pairs, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, pairs)
-        rows, kept = buf[: stop - start], keep[: stop - start]
-        for col, index in zip((0, width + 1), np.divmod(np.arange(start, stop), count)):
-            _put_index(rows, col, groups, comma, index)
-            _drop_leading_zeros(kept, col, width, index)
-        unsafe = np.zeros(len(rows), bool)
-        for col, column, after in zip(value_cols, columns, afters):
-            v = column[start:stop]
-            bad = np.signbit(v) | ~(v < _LARGE)
-            if bad.any():
-                v = np.where(bad, 0.0, v)
-            scaled = v * 1e6
-            rounded = np.rint(scaled)
-            unsafe |= bad | (np.abs(scaled - rounded) >= 0.5 - _HALF_WINDOW)
-            micro = rounded.astype(np.int32)
-            thousands = micro // 1000
-            units = thousands // 1000
-            _drop_leading_zeros(kept, col + 1, 3, units)
-            _put_word(rows, col + 1, dot, units)
-            _put_word(rows, col + 5, comma, thousands - units * 1000)
-            _put_word(rows, col + 8, after, micro - thousands * 1000)
-        text = rows[kept]
-        at = 0
-        if unsafe.any():
-            ends = np.cumsum(kept.sum(axis=1))
-            for r in np.flatnonzero(unsafe).tolist():
-                fh.write(text[at : ends[r - 1] if r else 0])
-                i, j = divmod(start + r, count)
-                fh.write(_PAIR_ROW(i, j, *(float(c[start + r]) for c in columns)).encode())
-                at = ends[r]
-        fh.write(text[at:])
+    dot = _words(".{:03d}")
+    words = [(dot, _words("{:03d},"))] * (len(columns) - 1) + [(dot, _words("{:03d}\n"))]
+    bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
+    runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    step = max(1, PAIR_BLOCK // count)
+    for lo, hi, p_index in runs:
+        for i in range(lo, hi, step):
+            _write_block(fh, columns, words, runs, i * count, p_index[i - lo : i - lo + step])

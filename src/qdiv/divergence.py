@@ -215,36 +215,51 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
         raise BudgetExceeded(f"total {total} is too large for int64 counts (2 * total must fit)")
     cp = np.asarray(counts_p, dtype=np.int64)
     cq = np.asarray(counts_q, dtype=np.int64)
+    if cp.ndim != 2 or cq.ndim != 2 or 0 in cp.shape or 0 in cq.shape:
+        raise DomainMismatch(
+            f"counts must be non-empty (rows, cells) arrays, not {cp.shape} and {cq.shape}"
+        )
     a, n = cp.shape
     if cq.shape[1] != n:
         raise DomainMismatch(f"cannot compare {n} cells against {cq.shape[1]}")
     if min(cp.min(), cq.min()) < 1 or (cp.sum(1) != total).any() or (cq.sum(1) != total).any():
         raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
     block = total - n + 1
-    opponent = np.where(np.arange(n) == cp.argmin(axis=1)[:, None], block, 1)
     kp_values = _distinct(cp.flatten())
     kq_values = _distinct(np.append(cq, (1, block)))
+    # flat tables: the term of kp_values[i] against kq_values[j] sits at i * width + j
+    width = len(kq_values)
     kl_t, jsd_t, he_t = (
-        np.array([[term(kp, kq, total) for kq in kq_values.tolist()]
-                  for kp in kp_values.tolist()])
+        np.array([term(kp, kq, total) for kp in kp_values.tolist() for kq in kq_values.tolist()])
         for term in (_kl_term, _jsd_term, _hellinger_term)
     )
-    pi, qi = np.searchsorted(kp_values, cp), np.searchsorted(kq_values, cq)
-    def cell_sum(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # sum() starts at 0 and adds cell 0, 1, ... in turn, as the loops do
-        return sum(table[rows[..., c], cols[..., c]] for c in range(n))
-    kl_max = cell_sum(kl_t, pi, np.searchsorted(kq_values, opponent))
+    pi = np.searchsorted(kp_values, cp)
+    pi *= width
+    qi = np.searchsorted(kq_values, cq)
+    # kl against build_maximizer's opponent: block on the first minimal cell, 1 elsewhere
+    low, (one, top) = cp.argmin(axis=1), np.searchsorted(kq_values, (1, block))
+    kl_max = sum(kl_t.take(pi[:, c] + np.where(low == c, top, one)) for c in range(n))
     kl_max[kl_max == 0.0] = 1.0  # one distribution (total == cells or cells == 1): kl 0
-    out = {m: np.empty((a, len(cq))) for m in ("kl", "kn", "jsd", "hellinger_squared", "jaccard")}
-    step = max(1, (1 << 16) // len(cq))  # keeps each temporary near 2**16 entries
+    # zeros: each sum starts at 0.0 and adds cell 0, 1, ... in turn, as the loops do
+    out = {m: np.zeros((a, len(cq))) for m in ("kl", "kn", "jsd", "hellinger_squared", "jaccard")}
+    step = min(a, max(1, (1 << 16) // len(cq)))  # keeps each temporary near 2**16 entries
+    index, term = np.empty((step, len(cq)), np.int64), np.empty((step, len(cq)))
     for start in range(0, a, step):
         rows = slice(start, start + step)
-        p_rows, q_cols = pi[rows, None, :], qi[None, :, :]
-        out["kl"][rows] = cell_sum(kl_t, p_rows, q_cols)
+        kl, jsd, he = out["kl"][rows], out["jsd"][rows], out["hellinger_squared"][rows]
+        at, cell = index[: len(kl)], term[: len(kl)]
+        for c in range(n):
+            np.add(pi[rows, c, None], qi[:, c], out=at)
+            for table, acc in ((kl_t, kl), (jsd_t, jsd), (he_t, he)):
+                # every index is in range; "clip" skips the copy of out that "raise" makes
+                acc += np.take(table, at, out=cell, mode="clip")
+        jsd *= 0.5
+        he *= 0.5
         out["kn"][rows] = out["kl"][rows] / kl_max[rows, None]
-        out["jsd"][rows] = 0.5 * cell_sum(jsd_t, p_rows, q_cols)
-        out["hellinger_squared"][rows] = 0.5 * cell_sum(he_t, p_rows, q_cols)
-        mins = sum(np.minimum(cp[rows, None, c], cq[None, :, c]) for c in range(n))
-        out["jaccard"][rows] = 1.0 - mins / (2 * total - mins)
+        # jaccard, 1 - mins / (2 * total - mins), from the sum of minima in at
+        np.minimum(cp[rows, 0, None], cq[:, 0], out=at)
+        for c in range(1, n):
+            at += np.minimum(cp[rows, c, None], cq[:, c])
+        np.subtract(2 * total, at, out=cell)
+        np.subtract(1.0, np.divide(at, cell, out=cell), out=out["jaccard"][rows])
     return out
-

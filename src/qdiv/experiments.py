@@ -4,11 +4,14 @@ All CSV output is byte-deterministic: header row, comma separator, 6-decimal
 fixed-point reals, LF line endings, UTF-8. Every value comes from one call
 of divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
-The pairwise sweep, a million rows at 15/5, formats a fixed-size block of
-pairs at a time as a uint8 matrix of digits, byte-identical to str.format's
-"{:.6f}" (see _pairrows); the other writers use str.format. Its summary
-takes each column's mean and sum of squares once (stats.pearson_pairs),
-with coefficients equal bit for bit to stats.pearson's.
+The pairwise sweep, a million rows at 15/5, writes whole index_p rows, up
+to _pairrows.PAIR_BLOCK pairs at a time, into one uint8 buffer: a slab of
+equally wide rows for each run of index_q values with as many digits,
+byte-identical to str.format's "{:.6f}" (see _pairrows). A row it cannot
+print as d.dddddd, and every row of the other writers, goes through
+str.format. Its summary takes each column's mean and sum of squares once
+(stats.pearson_pairs), with coefficients equal bit for bit to
+stats.pearson's.
 
 Every experiment takes multiplicity tuples straight from the enumeration's
 successor generators and formats them itself; only the uniform-study CSV
@@ -120,7 +123,8 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     enumeration, plus a companion summary CSV with the Pearson correlations
     between measure columns and gap statistics per column. Raises
     BudgetExceeded when the pair count would pass PAIR_BUDGET. Rows are
-    formatted and written _pairrows.PAIR_BLOCK pairs at a time.
+    formatted and written in blocks of whole index_p rows, as many as fit
+    in _pairrows.PAIR_BLOCK pairs, at least one.
     """
     out_path = Path(out_path)
     count = count_unordered(total, cells)

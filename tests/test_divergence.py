@@ -211,6 +211,10 @@ class TestBatchedKernel:
     def test_rejects_invalid_counts(self):
         with pytest.raises(DomainMismatch):
             measures([(2, 1, 1)], [(2, 2)], 4)
+        # not a non-empty (rows, cells) array on one side or the other
+        for p, q in ([(2, 1)], []), ([2, 1], [2, 1]), ([], [(2, 1)]), ([()], [()]):
+            with pytest.raises(DomainMismatch):
+                measures(p, q, 3)
         for q in [(2, 1, 2)], [(4, 0, 0)], [(5, -1, 0)]:
             with pytest.raises(QuantumMismatch):
                 measures([(2, 1, 1)], q, 4)

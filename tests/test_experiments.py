@@ -169,15 +169,16 @@ def _near_half(units: int, micro: int, ulps: int) -> float:
 
 
 # Three values that np.rint(v * 1e6) rounds the other way from
-# format(v, ".6f"), one that rounds up to a fourth integer digit, signed
+# format(v, ".6f"), two that round up to one more integer digit, signed
 # zeros, tiny negatives, non-finite values, an exact binary tie and values
 # from 1e3 up.
-EDGE_VALUES = [0.0000025, 2.0000005, 100.0000015, 999.9999996, 0.0, -0.0, -5e-324, -1e-17,
-               -4e-7, math.inf, -math.inf, math.nan, 81 / 128, 1e3, 1e300]
-# Values for the pairwise formatter: anything below 1e3, exact binary ties
-# such as 81/128, values a few ulps around x.xxxxxx5, the edge values,
-# negatives and values from 1e3 up.
+EDGE_VALUES = [0.0000025, 2.0000005, 100.0000015, 999.9999996, 9.9999996, 0.0, -0.0, -5e-324,
+               -1e-17, -4e-7, math.inf, -math.inf, math.nan, 81 / 128, 1e3, 1e300]
+# Values for the pairwise formatter: anything below 10 (the values it writes
+# as digits) and below 1e3, exact binary ties such as 81/128, values a few
+# ulps around x.xxxxxx5, the edge values, negatives and values from 1e3 up.
 FORMAT_VALUES = st.one_of(
+    st.floats(0, 10, exclude_max=True),
     st.floats(0, 1e3, exclude_max=True),
     st.builds(lambda k, j: k / 2**j, st.integers(0, 2**20), st.integers(0, 30)),
     st.builds(_near_half, st.integers(0, 999), st.integers(0, 10**6 - 1), st.integers(-4, 4)),
@@ -204,11 +205,11 @@ class TestPairRowFormat:
     @pytest.mark.parametrize("block", [1, 3, 4096])
     def test_edge_values(self, block):
         # one row per edge value, in all five columns, among rows of safe values
-        rows = [[0.25] * 5 for _ in range(16)]
+        rows = [[0.25] * 5 for _ in range(25)]
         for k, v in enumerate(EDGE_VALUES):
             for m in range(5):
                 rows[k][m] = v
-        check_pair_rows(4, block, rows)
+        check_pair_rows(5, block, rows)
 
     @given(
         count=st.integers(1, 6),
@@ -221,6 +222,24 @@ class TestPairRowFormat:
         rows = data.draw(st.lists(
             st.tuples(*[FORMAT_VALUES] * 5), min_size=count * count, max_size=count * count
         ))
+        check_pair_rows(count, block, rows)
+
+    @given(
+        count=st.sampled_from([9, 10, 11, 99, 100, 101]),
+        below=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_across_index_widths(self, count, below, data):
+        # index widths change at 10 and 100, inside an index_p row and between
+        # rows; PAIR_BLOCK is below one index_p row (one row a block) or above
+        block = data.draw(st.integers(1, count - 1) if below else st.integers(count, 4 * count))
+        rows = [(k / count**2 * 9.9,) * 5 for k in range(count * count)]
+        # up to 30 drawn rows at drawn (index_p, index_q), among rows of digits
+        index = st.integers(0, count - 1)
+        drawn = st.tuples(index, index, st.tuples(*[FORMAT_VALUES] * 5))
+        for i, j, row in data.draw(st.lists(drawn, max_size=30)):
+            rows[i * count + j] = row
         check_pair_rows(count, block, rows)
 
     @pytest.mark.parametrize("block", [1000, 1001, 4096])
