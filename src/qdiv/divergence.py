@@ -200,25 +200,42 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def _check_int64(total: int) -> None:
+    """Raise BudgetExceeded unless 2 * total, the jaccard denominator, fits in int64.
+
+    measures() runs it on every call, and run_uniform_study before it builds
+    its int64 count matrix, so no total is too large for the array it makes.
+    """
+    if 2 * total > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"total {total} is too large for int64 counts (2 * total must fit)")
+
+
 def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     """Every measure between each row of counts_p and each row of counts_q.
 
     counts_p is (a, n), counts_q is (b, n), integer multiplicities on the
-    quantum 1/total. Returns (a, b) arrays kl, kn, jsd, hellinger_squared and
-    jaccard equal bit for bit to the scalar functions: the same _*_term
-    functions give each distinct (kp, kq) term, cells add left to right, and
-    kn divides by kl against build_maximizer's opponent (first minimal cell).
-    Counts are int64, so a total whose double (the jaccard denominator) does
-    not fit raises BudgetExceeded.
+    quantum 1/total: int64 arrays, or anything numpy makes an integer array
+    of; floats, strings and ragged rows raise DomainMismatch. Returns (a, b)
+    arrays kl, kn, jsd, hellinger_squared and jaccard equal bit for bit to
+    the scalar functions: the same _*_term functions give each distinct
+    (kp, kq) term, cells add left to right, and kn divides by kl against
+    build_maximizer's opponent (first minimal cell). Counts are int64, so a
+    total whose double (the jaccard denominator) does not fit raises
+    BudgetExceeded.
     """
-    if 2 * total > np.iinfo(np.int64).max:
-        raise BudgetExceeded(f"total {total} is too large for int64 counts (2 * total must fit)")
-    cp = np.asarray(counts_p, dtype=np.int64)
-    cq = np.asarray(counts_q, dtype=np.int64)
+    _check_int64(total)
+    try:
+        cp, cq = np.asarray(counts_p), np.asarray(counts_q)
+    except ValueError as exc:  # ragged rows
+        raise DomainMismatch(f"counts must be (rows, cells) arrays: {exc}") from None
     if cp.ndim != 2 or cq.ndim != 2 or 0 in cp.shape or 0 in cq.shape:
         raise DomainMismatch(
             f"counts must be non-empty (rows, cells) arrays, not {cp.shape} and {cq.shape}"
         )
+    if not (np.issubdtype(cp.dtype, np.integer) and np.issubdtype(cq.dtype, np.integer)):
+        raise DomainMismatch(f"counts must be integers, not {cp.dtype} and {cq.dtype}")
+    # no copy of counts that are int64 already, as run_uniform_study's are
+    cp, cq = cp.astype(np.int64, copy=False), cq.astype(np.int64, copy=False)
     a, n = cp.shape
     if cq.shape[1] != n:
         raise DomainMismatch(f"cannot compare {n} cells against {cq.shape[1]}")

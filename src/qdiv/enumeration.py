@@ -4,14 +4,18 @@ Unordered distributions over n cells with total M are the compositions of M
 into n positive parts; ordered ones are the partitions of M into exactly n
 parts. Both stream in lexicographically descending order of the multiplicity
 vector, and both counts are exact big integers. The successor generators run
-every check of an enumeration and yield the tuples that the experiments read
-and that the enumerate_* generators wrap in validated objects.
+every check of an enumeration and yield the tuples that the enumerate_*
+generators wrap in validated objects; the pairwise sweep reads
+_compositions' tuples. The uniform study takes the partitions as one int64
+matrix from _partition_matrix, in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator
+
+import numpy as np
 
 from .distributions import OrderedQuantumDistribution, QuantumDistribution
 from .errors import CELLS_BUDGET, COUNT_BUDGET, InvalidSpec, check_budget
@@ -108,6 +112,41 @@ def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
             part = min(cap, left - (cells - 1 - i))
             parts[i] = part
             left -= part
+
+
+def _partition_matrix(total: int, cells: int) -> np.ndarray:
+    """_partitions(total, cells) as one (count_ordered, cells) int64 array.
+
+    The rows come in the same lex-descending order, built one column at a
+    time: each partial row (dots left, cells left, cap) expands into its
+    next parts from min(cap, left - cells left + 1) down to ceil(left /
+    cells left), the smallest that can still carry the rest, and the last
+    part is what is left. Every partial row so extends to at least one
+    full row, so no column is longer than the result. The parent index of
+    each part rebuilds the rows at the end. total must fit in int64.
+    """
+    _check(total, cells)
+    check_budget(cells, CELLS_BUDGET, "cells")
+    left = np.array([total], np.int64)
+    cap = left - cells + 1
+    parts, parents = [], []
+    for c in range(cells, 1, -1):
+        hi = np.minimum(cap, left - (c - 1))
+        sizes = hi - -(-left // c) + 1
+        # row k of the new column counts down from hi of its parent
+        step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        parent = np.repeat(np.arange(len(left)), sizes)
+        cap = hi[parent] - step
+        left = left[parent] - cap
+        parts.append(cap)
+        parents.append(parent)
+    matrix = np.empty((len(left), cells), np.int64)
+    matrix[:, -1] = left
+    row = np.arange(len(left))
+    for c in range(cells - 2, -1, -1):
+        matrix[:, c] = parts[c][row]
+        row = parents[c][row]
+    return matrix
 
 
 def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]:

@@ -13,9 +13,12 @@ str.format. Its summary takes each column's mean and sum of squares once
 (stats.pearson_pairs), with coefficients equal bit for bit to
 stats.pearson's.
 
-Every experiment takes multiplicity tuples straight from the enumeration's
-successor generators and formats them itself; only the uniform-study CSV
-builds a distribution per row, for distribution_properties.
+The uniform study enumerates straight into the kernel's (distributions,
+cells) int64 count matrix (enumeration._partition_matrix) and keeps it;
+the pairwise sweep takes multiplicity tuples from the _compositions
+successor generator. Writers read the matrix's rows as lists, once; only
+the uniform-study CSV builds a distribution per row, for
+distribution_properties.
 
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -34,8 +37,8 @@ import numpy as np
 
 from ._pairrows import write_pair_rows
 from .distributions import QuantumDistribution
-from .divergence import MEASURE_LABELS, measures
-from .enumeration import _check, _compositions, _partitions, count_ordered, count_unordered
+from .divergence import MEASURE_LABELS, _check_int64, measures
+from .enumeration import _check, _compositions, _partition_matrix, count_ordered, count_unordered
 from .errors import (
     PAIR_BUDGET,
     STUDY_BUDGET,
@@ -60,15 +63,16 @@ TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 class UniformStudy:
     """Every ordered distribution of one domain against the uniform one.
 
-    counts holds each distribution's multiplicity tuple, lex-descending;
-    values maps each of TABLE_MEASURES to its column of floats, in the same
-    order. Asymmetric measures put the enumerated distribution first:
-    kl(P, uniform) and kn(P, uniform). hellinger holds the squared form (see
-    module docstring). Ranks are computed on demand, by the writers that
-    print or correlate them.
+    counts is the (distributions, cells) int64 matrix of multiplicities,
+    one row per distribution, lex-descending; values maps each of
+    TABLE_MEASURES to its column of floats, in the same order. Asymmetric
+    measures put the enumerated distribution first: kl(P, uniform) and
+    kn(P, uniform). hellinger holds the squared form (see module
+    docstring). Ranks are computed on demand, by the writers that print or
+    correlate them.
     """
 
-    counts: list[tuple[int, ...]]
+    counts: np.ndarray
     values: dict[str, list[float]]
 
     def __len__(self) -> int:
@@ -171,13 +175,16 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
 
     Requires cells to divide total so the uniform distribution exists on
     the same quantum. Raises BudgetExceeded before enumerating when the
-    distributions hold more than STUDY_BUDGET multiplicities in all.
+    distributions hold more than STUDY_BUDGET multiplicities in all, or
+    when total is too large for the kernel's int64 counts. The study keeps
+    the enumerated matrix that the kernel scored.
     """
     _check(total, cells)  # raises InvalidSpec before cells divides anything
     if total % cells != 0:
         raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
     check_budget(count_ordered(total, cells) * cells, STUDY_BUDGET, "multiplicities")
-    counts = list(_partitions(total, cells))
+    _check_int64(total)  # before the int64 matrix is built
+    counts = _partition_matrix(total, cells)
     kernel = measures(counts, [(total // cells,) * cells], total)
     kernel["hellinger"] = kernel.pop("hellinger_squared")
     # pop frees each array once its column of floats exists
@@ -194,7 +201,7 @@ def write_uniform_study_csv(study: UniformStudy, out_path: str | Path) -> Path:
     )
     lines = [header]
     ranks = study.ranks()
-    for i, counts in enumerate(study.counts):
+    for i, counts in enumerate(study.counts.tolist()):
         props = distribution_properties(QuantumDistribution(counts))
         skew = _f6(props.skewness) if props.skewness is not None else ""
         kurt = _f6(props.excess_kurtosis) if props.excess_kurtosis is not None else ""
@@ -259,7 +266,7 @@ def run_rank_comparison(
     study = run_uniform_study(total, cells)
     ranks = study.ranks()
     lines = ["distribution," + ",".join(f"rank_{m}" for m in TABLE_MEASURES)]
-    for i, counts in enumerate(study.counts):
+    for i, counts in enumerate(study.counts.tolist()):
         ranked = ",".join(f"{ranks[m][i]:.1f}" for m in TABLE_MEASURES)
         lines.append(f'"{",".join(map(str, counts))}",{ranked}')
     _write_text(out_path, lines)

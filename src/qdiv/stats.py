@@ -129,15 +129,17 @@ def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     """Ascending 1-based ranks with ties sharing their average rank."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
     sorted_v = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie run starts where a sorted value differs from the one before it;
+    # NaN equals nothing, so each NaN is a run of its own
+    new = np.empty(v.size, bool)
+    new[:1] = True
+    np.not_equal(sorted_v[1:], sorted_v[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    length = np.diff(start, append=v.size)
+    end = start + length - 1
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, length)
     return ranks
 
 

@@ -215,6 +215,10 @@ class TestBatchedKernel:
         for p, q in ([(2, 1)], []), ([2, 1], [2, 1]), ([], [(2, 1)]), ([()], [()]):
             with pytest.raises(DomainMismatch):
                 measures(p, q, 3)
+        # not integers, or ragged rows: nothing truncated, parsed or left to numpy
+        for p in [(2.5, 1.5)], [("2", "1")], [(2, 1), (3,)]:
+            with pytest.raises(DomainMismatch):
+                measures(p, [(2, 1)], 3)
         for q in [(2, 1, 2)], [(4, 0, 0)], [(5, -1, 0)]:
             with pytest.raises(QuantumMismatch):
                 measures([(2, 1, 1)], q, 4)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from qdiv import (
     enumerate_ordered,
     enumerate_unordered,
 )
+from qdiv.enumeration import _partition_matrix, _partitions
 from qdiv.errors import CELLS_BUDGET, COUNT_BUDGET, PAIR_BUDGET, STUDY_BUDGET, check_budget
 
 
@@ -83,6 +85,22 @@ def test_deep_domains_need_no_recursion():
     assert second.multiplicities == (1000, 2) + (1,) * 1998
     first, second = itertools.islice(enumerate_ordered(3000, 2000), 2)
     assert second.multiplicities == (1000, 2) + (1,) * 1998
+
+
+@pytest.mark.parametrize(
+    "domains",
+    [
+        [(total, cells) for total in range(1, 41) for cells in range(1, total + 1)],
+        [(60, 12), (1100, 1100), (10**9, 1), (2**62 - 1, 1)],
+    ],
+    ids=["dots-to-40", "wide-deep-one-cell"],
+)
+def test_partition_matrix_equals_successor_rows(domains):
+    for total, cells in domains:
+        matrix = _partition_matrix(total, cells)
+        assert matrix.dtype == np.int64
+        assert matrix.shape == (count_ordered(total, cells), cells)
+        assert [tuple(row) for row in matrix.tolist()] == list(_partitions(total, cells))
 
 
 def test_ordered_yields_ordered_type():

@@ -22,6 +22,23 @@ value_lists = st.lists(
 )
 
 
+
+def loop_ranks(values):
+    """fractional_ranks as a Python loop over the tie runs: the reference."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    sorted_v = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestDistributionProperties:
     def test_entropy_reference(self):
         props = distribution_properties(from_multiplicities([2, 1, 1]))
@@ -137,6 +154,18 @@ class TestRanksAndSpearman:
     def test_fractional_ranks_average_ties(self):
         got = fractional_ranks([10.0, 20.0, 20.0, 30.0])
         assert list(got) == [1.0, 2.5, 2.5, 4.0]
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.nan, math.inf])
+            | st.floats(allow_nan=True, allow_infinity=True),
+            max_size=50,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_tie_loop_bitwise(self, values):
+        # heavy ties, -0.0 beside 0.0 and NaN, against the former per-run loop
+        assert fractional_ranks(values).tobytes() == loop_ranks(values).tobytes()
 
     def test_matches_scipy_rankdata(self):
         values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0]
