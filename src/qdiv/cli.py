@@ -117,6 +117,17 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _domain_command(sub, name: str, func, summary: str, out: bool = True):
+    """A subcommand over one domain: the required --dots and --cells, and --out if it writes."""
+    command = sub.add_parser(name, help=summary)
+    command.add_argument("--dots", type=int, required=True)
+    command.add_argument("--cells", type=int, required=True)
+    if out:
+        command.add_argument("--out", required=True)
+    command.set_defaults(func=func)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdiv",
@@ -124,10 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    count = sub.add_parser("count", help="count distributions on a domain")
-    count.add_argument("--dots", type=int, required=True)
-    count.add_argument("--cells", type=int, required=True)
-    count.set_defaults(func=_cmd_count)
+    _domain_command(sub, "count", _cmd_count, "count distributions on a domain", out=False)
 
     compare = sub.add_parser("compare", help="measures between two distributions")
     compare.add_argument("--p", required=True, help='multiplicities, e.g. "2,1,1"')
@@ -146,29 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     maximize.add_argument("--p", required=True)
     maximize.set_defaults(func=_cmd_maximize)
 
-    verify = sub.add_parser(
-        "verify", help="brute-force check of the maximizer construction"
+    _domain_command(
+        sub, "verify", _cmd_verify, "brute-force check of the maximizer construction", out=False
     )
-    verify.add_argument("--dots", type=int, required=True)
-    verify.add_argument("--cells", type=int, required=True)
-    verify.set_defaults(func=_cmd_verify)
 
-    pairwise = sub.add_parser("pairwise", help="all-pairs measure sweep to CSV")
-    pairwise.add_argument("--dots", type=int, required=True)
-    pairwise.add_argument("--cells", type=int, required=True)
-    pairwise.add_argument("--out", required=True)
+    pairwise = _domain_command(sub, "pairwise", _cmd_pairwise, "all-pairs measure sweep to CSV")
     pairwise.add_argument(
         "--threads", type=int, default=None, help="accepted and ignored"
     )
-    pairwise.set_defaults(func=_cmd_pairwise)
 
-    uniform = sub.add_parser(
-        "uniform-study", help="every distribution against the uniform one"
+    _domain_command(
+        sub, "uniform-study", _cmd_uniform_study, "every distribution against the uniform one"
     )
-    uniform.add_argument("--dots", type=int, required=True)
-    uniform.add_argument("--cells", type=int, required=True)
-    uniform.add_argument("--out", required=True)
-    uniform.set_defaults(func=_cmd_uniform_study)
 
     tables = sub.add_parser("tables", help="maxima and mean/max summary tables")
     tables.add_argument(
@@ -180,11 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--out-dir", required=True)
     tables.set_defaults(func=_cmd_tables)
 
-    rank = sub.add_parser("rank", help="per-measure rankings and their agreement")
-    rank.add_argument("--dots", type=int, required=True)
-    rank.add_argument("--cells", type=int, required=True)
-    rank.add_argument("--out", required=True)
-    rank.set_defaults(func=_cmd_rank)
+    _domain_command(sub, "rank", _cmd_rank, "per-measure rankings and their agreement")
 
     return parser
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import QuantumDistribution
-from .errors import BudgetExceeded, DomainMismatch, QuantumMismatch
+from .errors import INT64_DOTS_BUDGET, DomainMismatch, QuantumMismatch, check_budget
 
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
 
@@ -170,20 +170,13 @@ def hellinger(p: QuantumDistribution, q: QuantumDistribution) -> float:
 def jaccard_distance(p: QuantumDistribution, q: QuantumDistribution) -> float:
     """Generalized Jaccard distance on multiplicities: 1 - sum(min)/sum(max).
 
-    Works directly on the integer counts. Both arguments should share a
+    Works directly on the integer counts, with sum(max) = p.total + q.total
+    - sum(min), the identity measures() uses. Both arguments should share a
     quantum for the result to mean anything; rescale first if they do not.
     """
     _check_cells(p, q)
-    mins = 0
-    maxs = 0
-    for kp, kq in zip(p.multiplicities, q.multiplicities):
-        if kp <= kq:
-            mins += kp
-            maxs += kq
-        else:
-            mins += kq
-            maxs += kp
-    return 1.0 - mins / maxs
+    mins = sum(map(min, p.multiplicities, q.multiplicities))
+    return 1.0 - mins / (p.total + q.total - mins)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -200,16 +193,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _check_int64(total: int) -> None:
-    """Raise BudgetExceeded unless 2 * total, the jaccard denominator, fits in int64.
-
-    measures() runs it on every call, and run_uniform_study before it builds
-    its int64 count matrix, so no total is too large for the array it makes.
-    """
-    if 2 * total > np.iinfo(np.int64).max:
-        raise BudgetExceeded(f"total {total} is too large for int64 counts (2 * total must fit)")
-
-
 def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     """Every measure between each row of counts_p and each row of counts_q.
 
@@ -220,10 +203,9 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     the scalar functions: the same _*_term functions give each distinct
     (kp, kq) term, cells add left to right, and kn divides by kl against
     build_maximizer's opponent (first minimal cell). Counts are int64, so a
-    total whose double (the jaccard denominator) does not fit raises
-    BudgetExceeded.
+    total past INT64_DOTS_BUDGET raises BudgetExceeded.
     """
-    _check_int64(total)
+    check_budget(total, INT64_DOTS_BUDGET, "dots")
     try:
         cp, cq = np.asarray(counts_p), np.asarray(counts_q)
     except ValueError as exc:  # ragged rows
@@ -239,8 +221,14 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     a, n = cp.shape
     if cq.shape[1] != n:
         raise DomainMismatch(f"cannot compare {n} cells against {cq.shape[1]}")
-    if min(cp.min(), cq.min()) < 1 or (cp.sum(1) != total).any() or (cq.sum(1) != total).any():
-        raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
+    # once n * total passes int64 a row sum can wrap around to total; a running
+    # sum cannot while each stays at or below total, as each step adds <= total
+    wraps = n * total > np.iinfo(np.int64).max
+    for c in cp, cq:
+        if c.min() < 1 or c.max() > total or (c.sum(1) != total).any() or (
+            wraps and np.cumsum(c, 1).max() > total
+        ):
+            raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
     block = total - n + 1
     kp_values = _distinct(cp.flatten())
     kq_values = _distinct(np.append(cq, (1, block)))
@@ -277,6 +265,9 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
         np.minimum(cp[rows, 0, None], cq[:, 0], out=at)
         for c in range(1, n):
             at += np.minimum(cp[rows, c, None], cq[:, c])
-        np.subtract(2 * total, at, out=cell)
-        np.subtract(1.0, np.divide(at, cell, out=cell), out=out["jaccard"][rows])
+        if 2 * total <= 2**53:  # float64 holds every int up to 2**53 exactly
+            np.subtract(2 * total, at, out=cell)
+            np.subtract(1.0, np.divide(at, cell, out=cell), out=out["jaccard"][rows])
+        else:  # divide the exact ints, as jaccard_distance does
+            out["jaccard"][rows] = [[1.0 - m / (2 * total - m) for m in r] for r in at.tolist()]
     return out

@@ -4,14 +4,8 @@ All CSV output is byte-deterministic: header row, comma separator, 6-decimal
 fixed-point reals, LF line endings, UTF-8. Every value comes from one call
 of divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
-The pairwise sweep, a million rows at 15/5, writes whole index_p rows, up
-to _pairrows.PAIR_BLOCK pairs at a time, into one uint8 buffer: a slab of
-equally wide rows for each run of index_q values with as many digits,
-byte-identical to str.format's "{:.6f}" (see _pairrows). A row it cannot
-print as d.dddddd, and every row of the other writers, goes through
-str.format. Its summary takes each column's mean and sum of squares once
-(stats.pearson_pairs), with coefficients equal bit for bit to
-stats.pearson's.
+The pairwise sweep's rows, a million at 15/5, are written by _pairrows
+(its docstring has the format); every other writer uses str.format.
 
 The uniform study enumerates straight into the kernel's (distributions,
 cells) int64 count matrix (enumeration._partition_matrix) and keeps it;
@@ -37,7 +31,7 @@ import numpy as np
 
 from ._pairrows import write_pair_rows
 from .distributions import QuantumDistribution
-from .divergence import MEASURE_LABELS, _check_int64, measures
+from .divergence import MEASURE_LABELS, measures
 from .enumeration import _check, _compositions, _partition_matrix, count_ordered, count_unordered
 from .errors import (
     PAIR_BUDGET,
@@ -176,14 +170,13 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     Requires cells to divide total so the uniform distribution exists on
     the same quantum. Raises BudgetExceeded before enumerating when the
     distributions hold more than STUDY_BUDGET multiplicities in all, or
-    when total is too large for the kernel's int64 counts. The study keeps
-    the enumerated matrix that the kernel scored.
+    when total passes INT64_DOTS_BUDGET. The study keeps the enumerated
+    matrix that the kernel scored.
     """
     _check(total, cells)  # raises InvalidSpec before cells divides anything
     if total % cells != 0:
         raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
     check_budget(count_ordered(total, cells) * cells, STUDY_BUDGET, "multiplicities")
-    _check_int64(total)  # before the int64 matrix is built
     counts = _partition_matrix(total, cells)
     kernel = measures(counts, [(total // cells,) * cells], total)
     kernel["hellinger"] = kernel.pop("hellinger_squared")

@@ -83,25 +83,22 @@ def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, 
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation in [-1, 1]."""
+    """Product-moment correlation in [-1, 1]: pearson_pairs of the two columns."""
     xa, ya = _paired_arrays(x, y)
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    den = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
-    if den == 0.0:
+    rho = pearson_pairs({"x": xa, "y": ya}).get(("x", "y"))
+    if rho is None:
         raise DegenerateInput("correlation undefined for zero-variance input")
-    return float(np.sum(xc * yc)) / den
+    return rho
 
 
 def pearson_pairs(columns: Mapping[str, np.ndarray]) -> dict[tuple[str, str], float]:
-    """pearson(columns[a], columns[b]) for every pair of names a before b.
+    """The Pearson correlation of columns[a] and columns[b] for every a before b.
 
-    Equal bit for bit to the pearson calls: each column is centred with the
-    same subtraction of its mean and summed with the same np.sum, but its
-    mean and sum of squares are taken once. Pairs whose pearson raises
-    DegenerateInput (fewer than two points, a zero-variance column) are left
-    out. Two buffers of a column's length serve every pair: the second
-    column is centred again for each pair, and its products overwrite it.
+    Each column's mean and sum of squares are taken once. Pairs with fewer
+    than two points or a zero-variance column, where pearson raises
+    DegenerateInput, are left out. Two buffers of a column's length serve
+    every pair: the second column is centred again for each pair, and its
+    products overwrite it.
     """
     names = list(columns)
     size = len(columns[names[0]]) if names else 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 from scipy.stats import entropy
@@ -44,6 +44,13 @@ def pair_strategy(max_cells=6, max_value=30):
         )
         .map(build)
     )
+
+
+def composition(cells, total):
+    """cells positive parts summing to total, from cells - 1 distinct cut points."""
+    return st.lists(
+        st.integers(1, total - 1), min_size=cells - 1, max_size=cells - 1, unique=True
+    ).map(lambda cuts: tuple(np.diff([0, *sorted(cuts), total]).tolist()))
 
 
 class TestWorkedExamples:
@@ -222,6 +229,42 @@ class TestBatchedKernel:
         for q in [(2, 1, 2)], [(4, 0, 0)], [(5, -1, 0)]:
             with pytest.raises(QuantumMismatch):
                 measures([(2, 1, 1)], q, 4)
+        # counts above the total, and a row whose int64 sum wraps around to it
+        t = 2**62 - 1
+        wraps, fair = [[3843071682022823253] * 5 + [3843071682022823254]], [[1] * 5 + [t - 5]]
+        for p, q, total in (
+            ([(2**63 - 1, 2**63 - 1, 3)], [(2**63 - 1, 2**63 - 1, 3)], 1),
+            (wraps, fair, t),
+            (fair, wraps, t),
+        ):
+            with pytest.raises(QuantumMismatch):
+                measures(p, q, total)
+
+    @given(
+        st.tuples(st.integers(2, 4), st.integers(2**53, 2**62 - 1)).flatmap(
+            lambda drawn: st.tuples(
+                st.just(drawn[1]), composition(*drawn), composition(*drawn)
+            )
+        )
+    )
+    @example(
+        (
+            2599342870640136315,
+            (1378041632916395468, 633872590135048903, 587428647588691944),
+            (1399244273075518097, 527096892578893360, 673001704985724858),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_functions_past_exact_floats(self, drawn):
+        # 2 * total passes 2**53, where float64 no longer holds every int
+        total, a, b = drawn
+        p, q = from_multiplicities(a), from_multiplicities(b)
+        values = measures([a, b], [b], total)
+        for name, fn in (
+            ("kl", kl), ("kn", kn), ("jsd", jsd),
+            ("hellinger_squared", hellinger_squared), ("jaccard", jaccard_distance),
+        ):
+            assert values[name][:, 0].tolist() == [fn(p, q), fn(q, q)], name
 
 
 class TestAgainstScipy:

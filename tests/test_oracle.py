@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 import qdiv.oracle
 from qdiv import (
     BudgetExceeded,
+    MaximizerResult,
+    QuantumDistribution,
     brute_force_max_kl,
     build_maximizer,
     enumerate_ordered,
+    enumerate_unordered,
     from_multiplicities,
     kl,
     special_case_gap,
     verify_maximizer_sweep,
 )
+from qdiv.cli import main
+from qdiv.oracle import TOLERANCE
 
 
 class TestBruteForce:
@@ -73,6 +78,47 @@ class TestSweep:
         calls.clear()
         brute_force_max_kl(from_multiplicities([3, 2, 1]))
         assert len(calls) == 10
+
+
+class TestViolations:
+    @pytest.fixture
+    def weaker_opponent(self, monkeypatch):
+        # the block on the first cell, not on a minimal one: beaten wherever
+        # the first cell is not minimal
+        def build(p):
+            u = QuantumDistribution((p.total - p.cardinality + 1,) + (1,) * (p.cardinality - 1))
+            return MaximizerResult(maximizer=u, max_divergence=kl(p, u), argmin_cell=0)
+
+        monkeypatch.setattr(qdiv.oracle, "build_maximizer", build)
+        return build
+
+    def test_recorded_sorted_by_p_with_the_largest_margin(self, weaker_opponent):
+        report = verify_maximizer_sweep((6, 3))
+        assert report.checked == 10
+        ms = [p.multiplicities for p in enumerate_unordered(6, 3)]
+        beaten = [m for m in ms if m[0] > min(m)]
+        assert [p.multiplicities for p, _, _, _ in report.violations] == sorted(beaten)
+        for p, q, constructed, best in report.violations:
+            assert constructed == weaker_opponent(p).max_divergence
+            assert (q, best) == brute_force_max_kl(p)
+            assert best - constructed > TOLERANCE
+        margins = [best - constructed for _, _, constructed, best in report.violations]
+        assert report.max_gap == max(margins)
+
+    def test_cli_prints_the_count(self, weaker_opponent, capsys):
+        violations = len(verify_maximizer_sweep((6, 3)).violations)
+        assert violations > 0
+        assert main(["verify", "--dots", "6", "--cells", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["checked=10", f"violations={violations}"]
+
+    def test_entries_print_and_compare_as_distributions(self, weaker_opponent):
+        p, q, _, _ = verify_maximizer_sweep((6, 3)).violations[0]
+        assert (str(p), str(q)) == ("2,1,3", "1,4,1")
+        assert p == from_multiplicities([2, 1, 3])
+        # a tuple is not a distribution, even with the same multiplicities
+        assert p.__eq__((2, 1, 3)) is NotImplemented
+        assert p != (2, 1, 3)
 
 
 class TestSpecialCaseGap:
