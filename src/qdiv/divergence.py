@@ -193,12 +193,23 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def _counts_array(counts, total: int) -> np.ndarray:
+    """counts as an array, with Python ints past int64 clipped to int64 outside [1, total]."""
+    c = np.asarray(counts)
+    if not np.issubdtype(c.dtype, np.integer):
+        ints = np.array(counts, dtype=object)
+        if all(isinstance(k, int) and not isinstance(k, bool) for k in ints.flat):
+            return np.clip(ints, 0, total + 1).astype(np.int64)
+    return c
+
+
 def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     """Every measure between each row of counts_p and each row of counts_q.
 
     counts_p is (a, n), counts_q is (b, n), integer multiplicities on the
-    quantum 1/total: int64 arrays, or anything numpy makes an integer array
-    of; floats, strings and ragged rows raise DomainMismatch. Returns (a, b)
+    quantum 1/total, as int64 arrays or nested sequences of ints. Floats,
+    bools, strings and ragged rows raise DomainMismatch; ints past int64 lie
+    above any total or below 1 and raise QuantumMismatch. Returns (a, b)
     arrays kl, kn, jsd, hellinger_squared and jaccard equal bit for bit to
     the scalar functions: the same _*_term functions give each distinct
     (kp, kq) term, cells add left to right, and kn divides by kl against
@@ -207,7 +218,7 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     """
     check_budget(total, INT64_DOTS_BUDGET, "dots")
     try:
-        cp, cq = np.asarray(counts_p), np.asarray(counts_q)
+        cp, cq = _counts_array(counts_p, total), _counts_array(counts_q, total)
     except ValueError as exc:  # ragged rows
         raise DomainMismatch(f"counts must be (rows, cells) arrays: {exc}") from None
     if cp.ndim != 2 or cq.ndim != 2 or 0 in cp.shape or 0 in cq.shape:

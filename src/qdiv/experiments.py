@@ -5,14 +5,14 @@ fixed-point reals, LF line endings, UTF-8. Every value comes from one call
 of divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
 The pairwise sweep's rows, a million at 15/5, are written by _pairrows
-(its docstring has the format); every other writer uses str.format.
+(its docstring has the format), and those of the study and rank CSVs by
+_write_study_rows, which zips lazily formatted columns into lines.
 
 The uniform study enumerates straight into the kernel's (distributions,
 cells) int64 count matrix (enumeration._partition_matrix) and keeps it;
 the pairwise sweep takes multiplicity tuples from the _compositions
-successor generator. Writers read the matrix's rows as lists, once; only
-the uniform-study CSV builds a distribution per row, for
-distribution_properties.
+successor generator. No writer builds a distribution: the study CSV's
+shape properties come from the matrix, through stats.property_columns.
 
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -23,14 +23,15 @@ matching the hellinger() measure itself.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._pairrows import write_pair_rows
-from .distributions import QuantumDistribution
 from .divergence import MEASURE_LABELS, measures
 from .enumeration import _check, _compositions, _partition_matrix, count_ordered, count_unordered
 from .errors import (
@@ -43,11 +44,11 @@ from .errors import (
 )
 from .stats import (
     GapStats,
-    distribution_properties,
     fractional_ranks,
     gap_stats,
     pearson,
     pearson_pairs,
+    property_columns,
 )
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
@@ -100,17 +101,16 @@ class RankComparisonResult:
     spearman_path: Path
 
 
-def _f6(v: float) -> str:
-    return f"{v:.6f}"
+def _f6(v: float | None) -> str:
+    """v to 6 decimals; None, such as a uniform row's skewness, is an empty cell."""
+    return "" if v is None else f"{v:.6f}"
 
 
 def _write_text(path: Path, lines: Iterable[str]) -> None:
     """Write each line with its LF as it arrives, so a generator streams."""
     # newline="" so the explicit LF endings pass through untranslated
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.writelines(map("{}\n".format, lines))
 
 
 def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> PairwiseResult:
@@ -184,27 +184,21 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     return UniformStudy(counts, {m: kernel.pop(m)[:, 0].tolist() for m in TABLE_MEASURES})
 
 
+def _write_study_rows(path: Path, counts: np.ndarray, ranks: dict, columns: dict) -> None:
+    """One row per row of counts: the counts quoted, each named column, the five ranks."""
+    header = ",".join(["distribution", *columns, *(f"rank_{m}" for m in TABLE_MEASURES)])
+    cells = [map(_f6, column) for column in columns.values()]
+    cells += (map("{:.1f}".format, ranks[m]) for m in TABLE_MEASURES)
+    quoted = (f'"{",".join(map(str, row))}"' for row in map(np.ndarray.tolist, counts))
+    _write_text(path, chain([header], map(",".join, zip(quoted, *cells))))
+
+
 def write_uniform_study_csv(study: UniformStudy, out_path: str | Path) -> Path:
     """One row per distribution: its values, properties and ranks."""
     out_path = Path(out_path)
-    header = (
-        "distribution,kn,kl,jsd,hellinger,jaccard,"
-        "entropy,cv,skewness,excess_kurtosis,"
-        "rank_kn,rank_kl,rank_jsd,rank_hellinger,rank_jaccard"
-    )
-    lines = [header]
-    ranks = study.ranks()
-    for i, counts in enumerate(study.counts.tolist()):
-        props = distribution_properties(QuantumDistribution(counts))
-        skew = _f6(props.skewness) if props.skewness is not None else ""
-        kurt = _f6(props.excess_kurtosis) if props.excess_kurtosis is not None else ""
-        measured = ",".join(_f6(study.values[m][i]) for m in TABLE_MEASURES)
-        ranked = ",".join(f"{ranks[m][i]:.1f}" for m in TABLE_MEASURES)
-        lines.append(
-            f'"{",".join(map(str, counts))}",{measured},'
-            f"{_f6(props.entropy)},{_f6(props.cv)},{skew},{kurt},{ranked}"
-        )
-    _write_text(out_path, lines)
+    # property_columns names its columns as the header does
+    columns = {m: study.values[m] for m in TABLE_MEASURES} | property_columns(study.counts)
+    _write_study_rows(out_path, study.counts, study.ranks(), columns)
     return out_path
 
 
@@ -258,28 +252,19 @@ def run_rank_comparison(
     out_path = Path(out_path)
     study = run_uniform_study(total, cells)
     ranks = study.ranks()
-    lines = ["distribution," + ",".join(f"rank_{m}" for m in TABLE_MEASURES)]
-    for i, counts in enumerate(study.counts.tolist()):
-        ranked = ",".join(f"{ranks[m][i]:.1f}" for m in TABLE_MEASURES)
-        lines.append(f'"{",".join(map(str, counts))}",{ranked}')
-    _write_text(out_path, lines)
+    _write_study_rows(out_path, study.counts, ranks, {})
 
     # spearman is pearson on fractional ranks
     coefficients: dict[tuple[str, str], float] = {}
-    matrix_lines = ["measure," + ",".join(TABLE_MEASURES)]
-    for a in TABLE_MEASURES:
-        entries = []
-        for b in TABLE_MEASURES:
-            try:
-                rho = pearson(ranks[a], ranks[b])
-            except DegenerateInput:
-                entries.append("")
-                continue
-            coefficients[(a, b)] = rho
-            entries.append(_f6(rho))
-        matrix_lines.append(f"{a}," + ",".join(entries))
+    for a, b in product(TABLE_MEASURES, repeat=2):
+        with suppress(DegenerateInput):
+            coefficients[a, b] = pearson(ranks[a], ranks[b])
+    matrix = (
+        ",".join([a, *(_f6(coefficients.get((a, b))) for b in TABLE_MEASURES)])
+        for a in TABLE_MEASURES
+    )
     spearman_path = out_path.with_name(out_path.stem + "_spearman" + out_path.suffix)
-    _write_text(spearman_path, matrix_lines)
+    _write_text(spearman_path, chain(["measure," + ",".join(TABLE_MEASURES)], matrix))
     return RankComparisonResult(
         study=study,
         spearman=coefficients,

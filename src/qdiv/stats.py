@@ -15,11 +15,11 @@ from .errors import DegenerateInput
 
 @dataclass(frozen=True)
 class DistributionProperties:
-    """Entropy of the probability view plus moment shape of the multiplicities.
+    """Entropy in bits, and the multiplicities' cv, skewness and excess kurtosis.
 
-    skewness and excess_kurtosis are None for uniform distributions, whose
-    zero variance leaves them undefined; consumers building correlations
-    must skip those rows.
+    Moments are population (1/n) ones, the cells being the whole population:
+    skewness = m3 / m2^1.5 and excess_kurtosis = m4 / m2^2 - 3, both None
+    where a uniform distribution's zero variance leaves them undefined.
     """
 
     entropy: float
@@ -46,30 +46,40 @@ class GapStats:
 
 
 def distribution_properties(p: QuantumDistribution) -> DistributionProperties:
-    """Entropy in bits; cv, skewness, excess kurtosis over the multiplicities.
+    """property_columns' one-row case, on an object row: ints past int64 stay exact."""
+    columns = property_columns(np.array([p.multiplicities], dtype=object))
+    return DistributionProperties(**{name: column[0] for name, column in columns.items()})
 
-    Moments use the population (1/n) convention: the cells are a complete
-    population, not a sample. skewness = m3 / m2^1.5 and excess kurtosis =
-    m4 / m2^2 - 3.
+
+def property_columns(counts) -> dict[str, list]:
+    """DistributionProperties' fields of each row of counts, as columns named for them.
+
+    counts is a (rows, cells) matrix of ints, int64 or Python objects, whose
+    rows share the first row's total. As in measures(), each distinct count's
+    terms come from math once and cells add left to right from 0.0; the
+    per-row steps use Python floats, as numpy's power may differ in the last bit.
     """
-    probs = p.probabilities
+    counts = np.asarray(counts)
+    n = counts.shape[1]
+    total = sum(counts[0].tolist())
+    values = _distinct(counts.flatten())
+    ks = values.tolist()
+    # probabilities before the mean: past float range one fails log2 before total / n overflows
+    terms = [[x * math.log2(x) for x in (k / total for k in ks)]]
+    mean = total / n
+    terms += ([(k - mean) ** e for k in ks] for e in (2, 3, 4))
+    table, index = np.array(terms), np.searchsorted(values, counts)
+    sums = np.zeros((4, len(counts)))
+    for c in range(n):
+        sums += table[:, index[:, c]]
+    m2, m3, m4 = (sums[1:] / n).tolist()
     # 0.0 - rather than unary minus: one cell sums to 0.0, whose negation is -0.0
-    entropy = 0.0 - sum(x * math.log2(x) for x in probs)
-    ms = p.multiplicities
-    n = p.cardinality
-    mean = p.total / n
-    m2 = sum((k - mean) ** 2 for k in ms) / n
-    cv = math.sqrt(m2) / mean
-    if m2 == 0.0:
-        return DistributionProperties(entropy, cv, None, None)
-    m3 = sum((k - mean) ** 3 for k in ms) / n
-    m4 = sum((k - mean) ** 4 for k in ms) / n
-    return DistributionProperties(
-        entropy=entropy,
-        cv=cv,
-        skewness=m3 / m2**1.5,
-        excess_kurtosis=m4 / m2**2 - 3.0,
-    )
+    return {
+        "entropy": [0.0 - h for h in sums[0].tolist()],
+        "cv": [math.sqrt(a) / mean for a in m2],
+        "skewness": [b / a**1.5 if a != 0.0 else None for a, b in zip(m2, m3)],
+        "excess_kurtosis": [d / a**2 - 3.0 if a != 0.0 else None for a, d in zip(m2, m4)],
+    }
 
 
 def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -154,18 +164,12 @@ def gap_stats(values: Sequence[float]) -> GapStats:
     if not np.isfinite(v).all():
         raise DegenerateInput("gap_stats needs finite values")
     distinct = _distinct(np.round(v, 12))
-    if distinct.size >= 2:
-        gaps = np.diff(distinct)
-        mean_gap = float(gaps.mean())
-        sd_gap = float(gaps.std())  # population sd
-    else:
-        mean_gap = 0.0
-        sd_gap = 0.0
+    # one distinct value has no gap; its mean and sd read 0.0, as a lone 0.0 gives
+    gaps = np.diff(distinct) if distinct.size >= 2 else np.zeros(1)
     vmax = float(v.max())
-    mean_over_max = float(v.mean()) / vmax if vmax != 0.0 else 0.0
     return GapStats(
         distinct_count=int(distinct.size),
-        mean_gap=mean_gap,
-        sd_gap=sd_gap,
-        mean_over_max=mean_over_max,
+        mean_gap=float(gaps.mean()),
+        sd_gap=float(gaps.std()),  # population sd
+        mean_over_max=float(v.mean()) / vmax if vmax != 0.0 else 0.0,
     )

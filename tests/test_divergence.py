@@ -223,12 +223,36 @@ class TestBatchedKernel:
             with pytest.raises(DomainMismatch):
                 measures(p, q, 3)
         # not integers, or ragged rows: nothing truncated, parsed or left to numpy
-        for p in [(2.5, 1.5)], [("2", "1")], [(2, 1), (3,)]:
+        for p in [(2.5, 1.5)], [("2", "1")], [(2, 1), (3,)], [(True, True)]:
             with pytest.raises(DomainMismatch):
                 measures(p, [(2, 1)], 3)
+        # beside a Python int past int64, a bool or a non-int object is still no count
+        for bad in [(2**64, True)], [(2**64, 1.0)], [(2**64, "1")]:
+            for p, q in (bad, [(3, 1)]), ([(3, 1)], bad):
+                with pytest.raises(DomainMismatch):
+                    measures(p, q, 4)
         for q in [(2, 1, 2)], [(4, 0, 0)], [(5, -1, 0)]:
             with pytest.raises(QuantumMismatch):
                 measures([(2, 1, 1)], q, 4)
+        # Python ints past int64, which numpy makes objects or floats of, are
+        # integers above every accepted total or below 1, as (5, 1) is at 4;
+        # clipped into [1, total], (2**64,) and (-2**64, 3) would pass as (4,) and (1, 3)
+        for past, fair in (
+            ([(2**64, 1)], [(3, 1)]),
+            ([(-(2**64), 1)], [(3, 1)]),
+            ([(2**63, 1)], [(3, 1)]),
+            ([(2**64,)], [(4,)]),
+            ([(-(2**64), 3)], [(3, 1)]),
+        ):
+            for p, q in (past, fair), (fair, past):
+                with pytest.raises(QuantumMismatch):
+                    measures(p, q, 4)
+        # an object array of ints that fit is scored as the int64 one
+        objects = np.array([(3, 1)], dtype=object)
+        got, expected = measures(objects, objects, 4), measures([(3, 1)], [(3, 1)], 4)
+        assert {m: v.tolist() for m, v in got.items()} == {
+            m: v.tolist() for m, v in expected.items()
+        }
         # counts above the total, and a row whose int64 sum wraps around to it
         t = 2**62 - 1
         wraps, fair = [[3843071682022823253] * 5 + [3843071682022823254]], [[1] * 5 + [t - 5]]

@@ -6,9 +6,10 @@ qdiv.cli.main in a fresh directory; the paper-scale pairwise sweep that the
 session fixture pairwise_15_5 writes anyway is checked too, and so is every
 CSV of the reference battery, scripts/reproduce_experiments.py. Arguments come
 from perfbench/run.py (workload_steps) and the expected digests from
-perfbench/reference.json, which this module only reads. Any byte drift, such
-as a tie that splits differently in a rank column, fails here and not only
-in the benchmark. The last two tests guard, from the package side, the names
+perfbench/reference.json, which this module only reads; the study and rank
+CSVs of two deeper domains, 60/12 and 40/10, have digests of their own here.
+Any byte drift, such as a tie that splits differently in a rank column,
+fails here and not only in the benchmark. The last two tests guard, from the package side, the names
 the benchmark's tracer (perfbench/spans.py) and its check_trace rely on.
 """
 
@@ -102,6 +103,39 @@ def test_reproduce_script_bytes_match_reference(tmp_path):
         with open(tmp_path / name, "rb") as fh:
             digest = hashlib.file_digest(fh, "sha256").hexdigest()
         assert digest == REFERENCE["paper"][label][output], name
+
+
+# The benchmark's hashes cover the study at 32/8 only (919 rows, 8 cells).
+# These pin deeper domains, recorded with the per-row writers that the
+# matrix writers replaced.
+LARGE_DOMAINS = {
+    ("uniform-study", 60, 12): {
+        "out.csv": "7a8b0ec973d175ca66b51ead1c6db6da41ee0bb53ac24c5c2d103647a9b3d59a",
+    },
+    ("uniform-study", 40, 10): {
+        "out.csv": "eaf7b8b47e7a7a88113e5a8a937daf86324b013b8233216a61ac3935d063810e",
+    },
+    ("rank", 60, 12): {
+        "out.csv": "cfcea109b0b31e7d04f2e3f2a57259a4da41ca75f885535947de61215f8e432f",
+        "out_spearman.csv": "a563c8cc3d1119317ca00534f3e4abff199463211c80a5c29e328a2e348e847d",
+    },
+    ("rank", 40, 10): {
+        "out.csv": "7d36e17840b12e961c6fd6b4b404b8333ffb240c8209e6d4bef28216fc89fdeb",
+        "out_spearman.csv": "47af0a1a49042f6885a6040764890c22a6e46534ed1352678f3e5f68039e794a",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, dots, cells", LARGE_DOMAINS, ids=[f"{c}-{d}-{n}" for c, d, n in LARGE_DOMAINS]
+)
+def test_large_domain_bytes_match_recorded(command, dots, cells, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--dots", str(dots), "--cells", str(cells), "--out", "out.csv"]
+    assert main(argv) == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    digests = {name: sha256((tmp_path / name).read_bytes()) for name in written}
+    assert digests == LARGE_DOMAINS[command, dots, cells]
 
 
 def test_every_traced_generator_has_a_closed_form():

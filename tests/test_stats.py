@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from qdiv import (
     DegenerateInput,
+    DistributionProperties,
     distribution_properties,
     fractional_ranks,
     from_multiplicities,
     gap_stats,
     pearson,
+    run_uniform_study,
     spearman,
 )
-from qdiv.stats import pearson_pairs
+from qdiv.stats import pearson_pairs, property_columns
 
 value_lists = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=30
@@ -37,6 +39,140 @@ def loop_ranks(values):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def left_sum(terms):
+    """sum() as it adds floats before Python 3.12, left to right from 0."""
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
+def loop_properties(p):
+    """distribution_properties as a Python loop over the cells: the reference.
+
+    This is the scalar body that property_columns replaced, with sum spelled
+    out as left_sum: from Python 3.12 on sum compensates float rounding.
+    """
+    probs = p.probabilities
+    # 0.0 - rather than unary minus: one cell sums to 0.0, whose negation is -0.0
+    entropy = 0.0 - left_sum(x * math.log2(x) for x in probs)
+    ms = p.multiplicities
+    n = p.cardinality
+    mean = p.total / n
+    m2 = left_sum((k - mean) ** 2 for k in ms) / n
+    cv = math.sqrt(m2) / mean
+    if m2 == 0.0:
+        return DistributionProperties(entropy, cv, None, None)
+    m3 = left_sum((k - mean) ** 3 for k in ms) / n
+    m4 = left_sum((k - mean) ** 4 for k in ms) / n
+    return DistributionProperties(
+        entropy=entropy,
+        cv=cv,
+        skewness=m3 / m2**1.5,
+        excess_kurtosis=m4 / m2**2 - 3.0,
+    )
+
+
+def assert_same_properties(props, expected):
+    assert props == expected  # field by field, with float ==
+    # == does not tell 0.0 from -0.0: a one-cell entropy must print as 0.000000
+    assert math.copysign(1.0, props.entropy) == math.copysign(1.0, expected.entropy)
+
+
+def row_properties(columns, i):
+    return DistributionProperties(**{name: column[i] for name, column in columns.items()})
+
+
+@st.composite
+def count_matrices(draw):
+    """1 to 6 rows of 1 to 12 cells sharing one total, each count below 2**62.
+
+    Small totals give ties and zero-variance rows; a uniform row is added
+    where one exists.
+    """
+    cells = draw(st.integers(1, 12))
+    top = 2**62 // cells * cells
+    total = draw(st.one_of(st.integers(cells, 3 * cells), st.integers(cells, top)))
+
+    def composition():
+        if cells == 1:
+            return st.just((total,))
+        cuts = st.lists(
+            st.integers(1, total - 1), min_size=cells - 1, max_size=cells - 1, unique=True
+        )
+        return cuts.map(lambda c: tuple(np.diff([0, *sorted(c), total]).tolist()))
+
+    rows = draw(st.lists(composition(), min_size=1, max_size=6))
+    if total % cells == 0 and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (total // cells,) * cells)
+    return rows
+
+
+def outcome(properties, counts):
+    """properties(p), or the class of the exception it raises."""
+    try:
+        return properties(from_multiplicities(counts))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestPropertyColumns:
+    @given(count_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop_bit_for_bit(self, rows):
+        for counts in rows, np.array(rows, dtype=np.int64):
+            columns = property_columns(counts)
+            assert list(columns) == ["entropy", "cv", "skewness", "excess_kurtosis"]
+            for i, row in enumerate(rows):
+                expected = loop_properties(from_multiplicities(row))
+                assert_same_properties(row_properties(columns, i), expected)
+
+    def test_one_cell_and_uniform_rows(self):
+        columns = property_columns([(7,)])
+        assert columns == {
+            "entropy": [0.0], "cv": [0.0], "skewness": [None], "excess_kurtosis": [None]
+        }
+        assert math.copysign(1.0, columns["entropy"][0]) == 1.0
+        columns = property_columns([(5, 1, 3), (3, 3, 3)])
+        assert columns["skewness"][1] is None and columns["excess_kurtosis"][1] is None
+        assert columns["skewness"][0] is not None
+
+    @given(st.lists(st.integers(1, 2**200), min_size=1, max_size=12))
+    @example([2**70, 1, 3])
+    @example([2**64, 2**64])
+    @example([2**63, 1])
+    @example([512, 2**63 + 1])  # numpy would make floats of these, and lose the 1
+    @settings(max_examples=200, deadline=None)
+    def test_python_ints_past_int64(self, counts):
+        props = distribution_properties(from_multiplicities(counts))
+        assert_same_properties(props, loop_properties(from_multiplicities(counts)))
+
+    @given(st.lists(st.integers(1, 10**400), min_size=1, max_size=6))
+    @example([10**400, 1])
+    @example([10**400, 10**400])
+    @example([10**320, 1, 1])
+    @settings(max_examples=100, deadline=None)
+    def test_past_float_range_fails_as_the_loop_does(self, counts):
+        got = outcome(distribution_properties, counts)
+        expected = outcome(loop_properties, counts)
+        if isinstance(expected, DistributionProperties):
+            assert_same_properties(got, expected)
+        else:
+            assert got is expected
+
+    def test_exception_classes_past_float_range(self):
+        assert outcome(distribution_properties, [10**400, 1]) is ValueError
+        assert outcome(distribution_properties, [10**400, 10**400]) is OverflowError
+
+    @pytest.mark.parametrize("total, cells", [(32, 8), (60, 12)])
+    def test_every_study_row_equals_loop(self, total, cells):
+        counts = run_uniform_study(total, cells).counts
+        columns = property_columns(counts)
+        for i, row in enumerate(counts.tolist()):
+            expected = loop_properties(from_multiplicities(row))
+            assert_same_properties(row_properties(columns, i), expected)
 
 
 class TestDistributionProperties:
