@@ -32,6 +32,7 @@ whose row count is quadratic.
 
 from __future__ import annotations
 
+from functools import cache, lru_cache
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -42,11 +43,14 @@ _PAIR_ROW = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\n".format
 _VALUE_WIDTH = len("0.000000,")
 
 
+# built on first use and kept: a sweep calls write_pair_rows once per block
+@cache
 def _words(template: str) -> np.ndarray:
     """Entry k: the 4 ASCII bytes of template.format(k) as one little-endian word."""
     return np.frombuffer("".join(map(template.format, range(1000))).encode(), "<u4")
 
 
+@lru_cache(maxsize=4)  # a sweep has at most four index runs
 def _index_bytes(lo: int, hi: int) -> np.ndarray:
     """Row k: the bytes of "{lo + k},"; lo and hi - 1 have equally many digits."""
     text = "".join(f"{k}," for k in range(lo, hi)).encode()
@@ -66,8 +70,11 @@ def _digits(v: np.ndarray, dot: np.ndarray, after: np.ndarray):
     return ok, units + 48, dot.take(thousands - units * 1000), after.take(micro - thousands * 1000)
 
 
-def _write_block(fh, columns, words, runs, start, prefix) -> None:
-    """The rows of len(prefix) whole index_p rows, from pair start on."""
+def _write_block(fh, columns, words, runs, start, offset, prefix) -> None:
+    """The rows of len(prefix) whole index_p rows, from columns' pair start on.
+
+    Pair k of columns is pair k + offset of the sweep.
+    """
     count, values = runs[-1][1], len(columns) * _VALUE_WIDTH
     cells = [_digits(c[start : start + len(prefix) * count].reshape(-1, count), *w)
              for c, w in zip(columns, words)]
@@ -95,23 +102,27 @@ def _write_block(fh, columns, words, runs, start, prefix) -> None:
     for r0, r1 in zip(edges[::2], edges[1::2]):
         fh.write(text[at : r0 // count * width + q_start[r0 % count]])
         pairs = np.arange(start + r0, start + r1)
-        fields = [*np.divmod(pairs, count), *(c[pairs] for c in columns)]
+        fields = [*np.divmod(pairs + offset, count), *(c[pairs] for c in columns)]
         fh.write("".join(map(_PAIR_ROW, *(f.tolist() for f in fields))).encode())
         at = r1 // count * width + q_start[r1 % count]
     fh.write(text[at:])
 
 
-def write_pair_rows(fh: BinaryIO, count: int, columns: Sequence[np.ndarray]) -> None:
-    """One CSV row per pair of a count x count sweep, to a binary file.
+def write_pair_rows(
+    fh: BinaryIO, count: int, columns: Sequence[np.ndarray], first: int = 0
+) -> None:
+    """The CSV rows of whole index_p rows of a count x count sweep, to a binary file.
 
-    columns are the measure columns in row-major pair order; the bytes equal
-    _PAIR_ROW's for every pair.
+    columns are the measure columns of index_p rows first, first + 1, ...
+    in row-major pair order, all count * count pairs by default; the bytes
+    equal _PAIR_ROW's for every pair.
     """
     dot = _words(".{:03d}")
     words = [(dot, _words("{:03d},"))] * (len(columns) - 1) + [(dot, _words("{:03d}\n"))]
     bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
     runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    step = max(1, PAIR_BLOCK // count)
+    step, last = max(1, PAIR_BLOCK // count), first + len(columns[0]) // count
     for lo, hi, p_index in runs:
-        for i in range(lo, hi, step):
-            _write_block(fh, columns, words, runs, i * count, p_index[i - lo : i - lo + step])
+        for i in range(max(lo, first), min(hi, last), step):
+            prefix = p_index[i - lo : min(i + step, hi, last) - lo]
+            _write_block(fh, columns, words, runs, (i - first) * count, first * count, prefix)

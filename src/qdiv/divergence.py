@@ -193,14 +193,24 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _counts_array(counts, total: int) -> np.ndarray:
-    """counts as an array, with Python ints past int64 clipped to int64 outside [1, total]."""
+def _int_array(counts) -> np.ndarray:
+    """counts as an integer array, or as objects: Python ints that numpy would make floats.
+
+    Raises DomainMismatch when an entry is no int; a bool is none.
+    """
     c = np.asarray(counts)
-    if not np.issubdtype(c.dtype, np.integer):
-        ints = np.array(counts, dtype=object)
-        if all(isinstance(k, int) and not isinstance(k, bool) for k in ints.flat):
-            return np.clip(ints, 0, total + 1).astype(np.int64)
-    return c
+    if np.issubdtype(c.dtype, np.integer):
+        return c
+    ints = np.array(counts, dtype=object)
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in ints.flat):
+        raise DomainMismatch(f"counts must be integers, not {c.dtype}")
+    return ints
+
+
+def _counts_array(counts, total: int) -> np.ndarray:
+    """counts as an integer array; Python ints past int64 clip to int64 outside [1, total]."""
+    c = _int_array(counts)
+    return np.clip(c, 0, total + 1).astype(np.int64) if c.dtype == object else c
 
 
 def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
@@ -225,8 +235,6 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
         raise DomainMismatch(
             f"counts must be non-empty (rows, cells) arrays, not {cp.shape} and {cq.shape}"
         )
-    if not (np.issubdtype(cp.dtype, np.integer) and np.issubdtype(cq.dtype, np.integer)):
-        raise DomainMismatch(f"counts must be integers, not {cp.dtype} and {cq.dtype}")
     # no copy of counts that are int64 already, as run_uniform_study's are
     cp, cq = cp.astype(np.int64, copy=False), cq.astype(np.int64, copy=False)
     a, n = cp.shape

@@ -1,18 +1,24 @@
 """Experiment harness: pairwise sweeps, uniform studies, summary tables.
 
 All CSV output is byte-deterministic: header row, comma separator, 6-decimal
-fixed-point reals, LF line endings, UTF-8. Every value comes from one call
-of divergence.measures on the calling thread; there are no worker threads.
+fixed-point reals, LF line endings, UTF-8. Every value comes from
+divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
-The pairwise sweep's rows, a million at 15/5, are written by _pairrows
-(its docstring has the format), and those of the study and rank CSVs by
-_write_study_rows, which zips lazily formatted columns into lines.
+The study and rank CSVs are written by _write_study_rows, which zips lazily
+formatted columns into lines.
+
+The pairwise sweep, a million pairs at 15/5, goes one block of whole
+index_p rows at a time, SWEEP_BLOCK pairs or fewer: one measures() call
+scores the block, _pairrows writes its rows (its docstring has the
+format) and a stats.ColumnSummary folds it into the summary's moments,
+maxima and distinct values. So the sweep's memory does not grow with the
+pair count; PairwiseResult.values scores the whole grid again when read.
 
 The uniform study enumerates straight into the kernel's (distributions,
 cells) int64 count matrix (enumeration._partition_matrix) and keeps it;
-the pairwise sweep takes multiplicity tuples from the _compositions
-successor generator. No writer builds a distribution: the study CSV's
-shape properties come from the matrix, through stats.property_columns.
+the pairwise sweep stacks the multiplicity tuples of the _compositions
+successor generator into one. No writer builds a distribution: the study
+CSV's shape properties come from the matrix, through stats.property_columns.
 
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -24,8 +30,10 @@ matching the hellinger() measure itself.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import chain, product
+from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,16 +50,13 @@ from .errors import (
     NonUniformCapable,
     check_budget,
 )
-from .stats import (
-    GapStats,
-    fractional_ranks,
-    gap_stats,
-    pearson,
-    pearson_pairs,
-    property_columns,
-)
+from .stats import ColumnSummary, GapStats, fractional_ranks, pearson, property_columns
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
+# pairs scored, written and summarized at a time: the kernel's five float64
+# blocks take 2.6 MB, and the summary's two buffers 1 MB; at 15/5 this ran
+# faster than 2**15 and 2**17 (peak RSS 33 and 41 MB against 37 MB)
+SWEEP_BLOCK = 1 << 16
 
 
 @dataclass
@@ -82,7 +87,11 @@ class UniformStudy:
 class PairwiseResult:
     """Where a pairwise sweep landed and its companion statistics.
 
-    values maps each measure to its full N*N column in row-major pair order.
+    counts holds the swept distributions' multiplicities, one row each in
+    enumeration order. values maps each measure to its full N*N column in
+    row-major pair order. The sweep holds one block of those columns at a
+    time, so values is computed on first read, by the kernel on the whole
+    grid, and kept; its bits equal the blocks' that were written.
     """
 
     rows_written: int
@@ -90,7 +99,12 @@ class PairwiseResult:
     gaps: dict[str, GapStats]
     out_path: Path
     summary_path: Path
-    values: dict[str, np.ndarray]
+    counts: np.ndarray = field(repr=False)
+
+    @cached_property
+    def values(self) -> dict[str, np.ndarray]:
+        total = sum(self.counts[0].tolist())
+        return dict(zip(MEASURE_LABELS, _pair_columns(self.counts, self.counts, total)))
 
 
 @dataclass
@@ -106,11 +120,28 @@ def _f6(v: float | None) -> str:
     return "" if v is None else f"{v:.6f}"
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The left-to-right sum of values over their count.
+
+    From Python 3.12 on the builtin sum compensates float rounding, so its
+    last bits, and a printed digit at worst, would depend on the version.
+    """
+    return reduce(add, values, 0.0) / len(values)
+
+
 def _write_text(path: Path, lines: Iterable[str]) -> None:
     """Write each line with its LF as it arrives, so a generator streams."""
     # newline="" so the explicit LF endings pass through untranslated
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(map("{}\n".format, lines))
+
+
+def _pair_columns(counts_p, counts_q, total: int) -> list[np.ndarray]:
+    """MEASURE_LABELS' columns of every pair, row-major; hellinger unsquared."""
+    values = measures(counts_p, counts_q, total)
+    np.sqrt(values["hellinger_squared"], out=values["hellinger_squared"])
+    values["hellinger"] = values.pop("hellinger_squared")
+    return [values[m].ravel() for m in MEASURE_LABELS]
 
 
 def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> PairwiseResult:
@@ -120,39 +151,42 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     jaccard), indices being 0-based positions in the lex-descending
     enumeration, plus a companion summary CSV with the Pearson correlations
     between measure columns and gap statistics per column. Raises
-    BudgetExceeded when the pair count would pass PAIR_BUDGET. Rows are
-    formatted and written in blocks of whole index_p rows, as many as fit
-    in _pairrows.PAIR_BLOCK pairs, at least one.
+    BudgetExceeded when the pair count would pass PAIR_BUDGET. The sweep
+    goes one block of whole index_p rows at a time, as many as fit in
+    SWEEP_BLOCK pairs and at least one: the kernel scores the block,
+    _pairrows writes it and a stats.ColumnSummary folds it in, so memory
+    does not grow with the pair count.
     """
     out_path = Path(out_path)
     count = count_unordered(total, cells)
     pairs = count * count
     check_budget(pairs, PAIR_BUDGET, "pairs")
 
-    counts = list(_compositions(total, cells))
-    values = measures(counts, counts, total)
-    values["hellinger"] = np.sqrt(values.pop("hellinger_squared"))
-
-    columns = {m: values[m].ravel() for m in MEASURE_LABELS}
+    counts = np.array(list(_compositions(total, cells)))
+    summary = ColumnSummary(MEASURE_LABELS)
+    step = max(1, SWEEP_BLOCK // count)
     with open(out_path, "wb") as fh:
         fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")
-        write_pair_rows(fh, count, [columns[m] for m in MEASURE_LABELS])
+        for first in range(0, count, step):
+            columns = _pair_columns(counts[first : first + step], counts, total)
+            write_pair_rows(fh, count, columns, first)
+            summary.add(columns)
 
     # a degenerate column in a tiny space leaves its pairs out
-    correlations = pearson_pairs(columns)
-    gaps = {m: gap_stats(columns[m]) for m in MEASURE_LABELS}
+    correlations = summary.correlations()
+    gaps = summary.gap_stats()
 
     summary_path = out_path.with_name(out_path.stem + "_summary" + out_path.suffix)
-    summary = ["record,measure_a,measure_b,value"]
+    lines = ["record,measure_a,measure_b,value"]
     for (a, b), value in correlations.items():
-        summary.append(f"pearson,{a},{b},{_f6(value)}")
+        lines.append(f"pearson,{a},{b},{_f6(value)}")
     for m in MEASURE_LABELS:
         g = gaps[m]
-        summary.append(f"distinct_count,{m},,{g.distinct_count}")
-        summary.append(f"mean_gap,{m},,{_f6(g.mean_gap)}")
-        summary.append(f"sd_gap,{m},,{_f6(g.sd_gap)}")
-        summary.append(f"mean_over_max,{m},,{_f6(g.mean_over_max)}")
-    _write_text(summary_path, summary)
+        lines.append(f"distinct_count,{m},,{g.distinct_count}")
+        lines.append(f"mean_gap,{m},,{_f6(g.mean_gap)}")
+        lines.append(f"sd_gap,{m},,{_f6(g.sd_gap)}")
+        lines.append(f"mean_over_max,{m},,{_f6(g.mean_over_max)}")
+    _write_text(summary_path, lines)
 
     return PairwiseResult(
         rows_written=pairs,
@@ -160,7 +194,7 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
         gaps=gaps,
         out_path=out_path,
         summary_path=summary_path,
-        values=columns,
+        counts=counts,
     )
 
 
@@ -227,13 +261,13 @@ def emit_tables(
             study = run_uniform_study(dots, cells)
             maxima = {m: max(values) for m, values in study.values.items()}
             ratios = {
-                m: (sum(values) / len(values)) / maxima[m] if maxima[m] else 0.0
+                m: _mean(values) / maxima[m] if maxima[m] else 0.0
                 for m, values in study.values.items()
             }
             all_ratios.append(ratios)
             t1_lines.append(f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES))
             t2_lines.append(f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES))
-    averages = (sum(r[m] for r in all_ratios) / len(all_ratios) for m in TABLE_MEASURES)
+    averages = (_mean([r[m] for r in all_ratios]) for m in TABLE_MEASURES)
     t2_lines.append("avg,," + ",".join(map(_f6, averages)))
     table1, table2 = out_dir / "table1.csv", out_dir / "table2.csv"
     _write_text(table1, t1_lines)

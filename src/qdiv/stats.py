@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .distributions import QuantumDistribution
-from .divergence import _distinct
+from .divergence import _distinct, _int_array
 from .errors import DegenerateInput
 
 
@@ -46,20 +46,21 @@ class GapStats:
 
 
 def distribution_properties(p: QuantumDistribution) -> DistributionProperties:
-    """property_columns' one-row case, on an object row: ints past int64 stay exact."""
-    columns = property_columns(np.array([p.multiplicities], dtype=object))
+    """property_columns' one-row case."""
+    columns = property_columns([p.multiplicities])
     return DistributionProperties(**{name: column[0] for name, column in columns.items()})
 
 
 def property_columns(counts) -> dict[str, list]:
     """DistributionProperties' fields of each row of counts, as columns named for them.
 
-    counts is a (rows, cells) matrix of ints, int64 or Python objects, whose
-    rows share the first row's total. As in measures(), each distinct count's
-    terms come from math once and cells add left to right from 0.0; the
-    per-row steps use Python floats, as numpy's power may differ in the last bit.
+    counts is a (rows, cells) matrix of ints whose rows share the first row's
+    total; Python ints past int64 stay exact. As in measures(), each distinct
+    count's terms come from math once and cells add left to right from 0.0;
+    the per-row steps use Python floats, as numpy's power may differ in the
+    last bit.
     """
-    counts = np.asarray(counts)
+    counts = _int_array(counts)
     n = counts.shape[1]
     total = sum(counts[0].tolist())
     values = _distinct(counts.flatten())
@@ -104,32 +105,92 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def pearson_pairs(columns: Mapping[str, np.ndarray]) -> dict[tuple[str, str], float]:
     """The Pearson correlation of columns[a] and columns[b] for every a before b.
 
-    Each column's mean and sum of squares are taken once. Pairs with fewer
-    than two points or a zero-variance column, where pearson raises
-    DegenerateInput, are left out. Two buffers of a column's length serve
-    every pair: the second column is centred again for each pair, and its
-    products overwrite it.
+    ColumnSummary's one-block case. Pairs with fewer than two points or a
+    zero-variance column, where pearson raises DegenerateInput, are left out.
     """
-    names = list(columns)
-    size = len(columns[names[0]]) if names else 0
-    if size < 2:
-        return {}
-    xc, yc = np.empty(size), np.empty(size)
-    means = {m: columns[m].mean() for m in names}
-    squares = {}
-    for m in names:
-        np.subtract(columns[m], means[m], out=xc)
-        squares[m] = float(np.sum(np.multiply(xc, xc, out=yc)))
-    coefficients = {}
-    for i, a in enumerate(names):
-        np.subtract(columns[a], means[a], out=xc)
-        for b in names[i + 1 :]:
-            den = math.sqrt(squares[a] * squares[b])
-            if den == 0.0:
-                continue
-            np.subtract(columns[b], means[b], out=yc)
-            coefficients[(a, b)] = float(np.sum(np.multiply(xc, yc, out=yc))) / den
-    return coefficients
+    summary = ColumnSummary(columns)
+    summary.add(list(columns.values()))
+    return summary.correlations()
+
+
+class ColumnSummary:
+    """Pearson and gap statistics of named float columns, folded a block of rows at a time.
+
+    It holds the count, each column's mean, the matrix of centred co-moments
+    (sums of products of deviations from the means), each column's maximum
+    and its distinct values rounded to 12 decimals. A block's own moments
+    are .mean() and np.sum of centred products; the first block's are kept
+    as they are, so a one-block fold equals the whole-column formulas bit
+    for bit. Each later block merges in with the pairwise update of Chan,
+    Golub and LeVeque (1983), which may move the last bits. Maxima merge by
+    max and distinct values by union, exactly. Two buffers of a block's
+    length serve every product, and no product goes through BLAS.
+    """
+
+    def __init__(self, names: Iterable[str]):
+        self.names = list(names)
+        k = len(self.names)
+        self.count = 0
+        self.means = np.zeros(k)
+        self.comoments = np.zeros((k, k))
+        self.maxima = np.full(k, -math.inf)
+        self.distinct = [np.zeros(0)] * k
+
+    def add(self, columns: Sequence[np.ndarray]) -> None:
+        """Fold in one block of rows: columns[i] holds the block's values of names[i]."""
+        size = len(columns[0]) if columns else 0
+        if size == 0:
+            return
+        means = np.array([c.mean() for c in columns])
+        comoments = np.empty_like(self.comoments)
+        xc, yc = np.empty(size), np.empty(size)
+        for i, a in enumerate(columns):
+            np.subtract(a, means[i], out=xc)
+            comoments[i, i] = np.sum(np.multiply(xc, xc, out=yc))
+            for j in range(i + 1, len(columns)):
+                np.subtract(columns[j], means[j], out=yc)
+                comoments[i, j] = comoments[j, i] = np.sum(np.multiply(xc, yc, out=yc))
+            # the rounded copy goes in xc, which _distinct sorts in place
+            block = _distinct(np.round(a, 12, out=xc))
+            if self.count:
+                block = _distinct(np.concatenate([self.distinct[i], block]))
+            self.distinct[i] = block
+        np.maximum(self.maxima, [c.max() for c in columns], out=self.maxima)
+        if self.count:
+            n = self.count + size
+            delta = means - self.means
+            comoments += self.comoments + np.multiply.outer(delta, delta) * (self.count * size / n)
+            means = self.means + delta * (size / n)
+        self.count += size
+        self.means, self.comoments = means, comoments
+
+    def correlations(self) -> dict[tuple[str, str], float]:
+        """pearson_pairs of every column folded in so far."""
+        if self.count < 2:
+            return {}
+        squares, coefficients = self.comoments.diagonal().tolist(), {}
+        for i, a in enumerate(self.names):
+            for j in range(i + 1, len(self.names)):
+                den = math.sqrt(squares[i] * squares[j])
+                if den != 0.0:
+                    coefficients[(a, self.names[j])] = float(self.comoments[i, j]) / den
+        return coefficients
+
+    def gap_stats(self) -> dict[str, GapStats]:
+        """gap_stats of every column folded in so far; each must have had finite values."""
+        stats = {}
+        for name, distinct, mean, vmax in zip(
+            self.names, self.distinct, self.means.tolist(), self.maxima.tolist()
+        ):
+            # one distinct value has no gap; its mean and sd read 0.0, as a lone 0.0 gives
+            gaps = np.diff(distinct) if distinct.size >= 2 else np.zeros(1)
+            stats[name] = GapStats(
+                distinct_count=int(distinct.size),
+                mean_gap=float(gaps.mean()),
+                sd_gap=float(gaps.std()),  # population sd
+                mean_over_max=mean / vmax if vmax != 0.0 else 0.0,
+            )
+        return stats
 
 
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
@@ -157,19 +218,15 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def gap_stats(values: Sequence[float]) -> GapStats:
-    """Distinct-value gaps and mean/max ratio for a non-empty finite vector."""
+    """Distinct-value gaps and mean/max ratio of a non-empty finite vector.
+
+    ColumnSummary's one-column, one-block case.
+    """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise DegenerateInput("gap_stats needs a non-empty vector")
     if not np.isfinite(v).all():
         raise DegenerateInput("gap_stats needs finite values")
-    distinct = _distinct(np.round(v, 12))
-    # one distinct value has no gap; its mean and sd read 0.0, as a lone 0.0 gives
-    gaps = np.diff(distinct) if distinct.size >= 2 else np.zeros(1)
-    vmax = float(v.max())
-    return GapStats(
-        distinct_count=int(distinct.size),
-        mean_gap=float(gaps.mean()),
-        sd_gap=float(gaps.std()),  # population sd
-        mean_over_max=float(v.mean()) / vmax if vmax != 0.0 else 0.0,
-    )
+    summary = ColumnSummary(["v"])
+    summary.add([v])
+    return summary.gap_stats()["v"]

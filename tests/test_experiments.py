@@ -160,6 +160,34 @@ class TestPairwise:
         assert read_lines(out) == expected
 
 
+
+class TestSweepBlocks:
+    @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8), (47, 2)])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_bytes_do_not_depend_on_the_block(self, tmp_path, total, cells, rows):
+        # blocks of one or three index_p rows; at one, 47/2's str.format rows
+        # each start a block
+        default = run_pairwise_experiment(total, cells, tmp_path / "default.csv")
+        with mock.patch.object(experiments, "SWEEP_BLOCK", rows * len(default.counts)):
+            blocked = run_pairwise_experiment(total, cells, tmp_path / "blocked.csv")
+        assert blocked.out_path.read_bytes() == default.out_path.read_bytes()
+        assert blocked.summary_path.read_bytes() == default.summary_path.read_bytes()
+        assert blocked.correlations.keys() == default.correlations.keys()
+        for (a, b), rho in blocked.correlations.items():
+            assert rho == pytest.approx(pearson(blocked.values[a], blocked.values[b]), rel=1e-12)
+
+    @pytest.mark.parametrize("total, cells", [(14, 5), (15, 5)])
+    def test_memory_does_not_grow_with_the_pairs(self, tmp_path, total, cells):
+        # 511,225 and 1,002,001 pairs, whose five whole float64 columns alone
+        # would take 19.5 and 38.2 MiB; one block's take 2.5 MiB
+        tracemalloc.start()
+        try:
+            run_pairwise_experiment(total, cells, tmp_path / "p.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 def _near_half(units: int, micro: int, ulps: int) -> float:
     """The double nearest units.micro5, moved by ulps units in the last place."""
     v = float(f"{units}.{micro:06d}5")
@@ -375,6 +403,13 @@ class TestTables:
             mean = sum(float(row[col]) for row in body) / len(body)
             assert float(avg[col]) == pytest.approx(mean, abs=5.1e-7)
 
+
+
+class TestTableMeans:
+    def test_means_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum, as the builtin
+        # sum is from Python 3.12 on, would give (1e16 + 2) / 3
+        assert experiments._mean([1e16, 1.0, 1.0]) == 1e16 / 3
 
 class TestTableSweepInvariants:
     def test_kn_maxima_stay_below_cap(self, table_values):

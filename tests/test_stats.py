@@ -17,7 +17,7 @@ from qdiv import (
     run_uniform_study,
     spearman,
 )
-from qdiv.stats import pearson_pairs, property_columns
+from qdiv.stats import ColumnSummary, pearson_pairs, property_columns
 
 value_lists = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=30
@@ -174,6 +174,13 @@ class TestPropertyColumns:
             expected = loop_properties(from_multiplicities(row))
             assert_same_properties(row_properties(columns, i), expected)
 
+
+    def test_row_past_int64_stays_exact(self):
+        # numpy makes float64 of this row and loses the 1: entropy ...227e-15
+        columns = property_columns([[512, 2**63 + 1]])
+        assert columns["entropy"] == [2.9976021664879223e-15]
+        expected = loop_properties(from_multiplicities([512, 2**63 + 1]))
+        assert_same_properties(row_properties(columns, 0), expected)
 
 class TestDistributionProperties:
     def test_entropy_reference(self):
@@ -389,3 +396,44 @@ class TestGapStats:
             assert g.mean_gap * (g.distinct_count - 1) == pytest.approx(span, abs=1e-9)
         else:
             assert g.mean_gap == 0.0
+
+
+@st.composite
+def split_columns(draw):
+    """1 to 4 columns of one length, each with some spread, and cut points for blocks."""
+    size = draw(st.integers(2, 60))
+    column = st.lists(st.floats(-100, 100), min_size=size, max_size=size)
+    spread = column.filter(lambda c: max(c) - min(c) > 1e-3)
+    columns = draw(st.lists(spread, min_size=1, max_size=4))
+    cuts = draw(st.lists(st.integers(1, size - 1), max_size=6, unique=True))
+    return [np.array(c) for c in columns], [0, *sorted(cuts), size]
+
+
+class TestColumnSummary:
+    @given(split_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_fold_to_the_whole_columns(self, drawn):
+        columns, edges = drawn
+        names = [f"c{k}" for k in range(len(columns))]
+        summary = ColumnSummary(names)
+        for lo, hi in zip(edges, edges[1:]):
+            summary.add([c[lo:hi] for c in columns])
+        whole = pearson_pairs(dict(zip(names, columns)))
+        got = summary.correlations()
+        assert got.keys() == whole.keys()
+        for key, rho in got.items():
+            assert rho == pytest.approx(whole[key], rel=1e-12, abs=1e-12)
+        for name, column in zip(names, columns):
+            g, expected = summary.gap_stats()[name], gap_stats(column)
+            # distinct values and maxima merge exactly; only the mean may move
+            assert (g.distinct_count, g.mean_gap, g.sd_gap) == (
+                expected.distinct_count, expected.mean_gap, expected.sd_gap
+            )
+            assert g.mean_over_max == pytest.approx(expected.mean_over_max, rel=1e-12, abs=1e-12)
+
+    def test_one_block_equals_the_one_shot_functions(self):
+        columns = {"x": np.array([0.5, 0.25, 2.0, 0.125]), "y": np.array([3.0, 1.0, 4.0, 1.5])}
+        summary = ColumnSummary(columns)
+        summary.add(list(columns.values()))
+        assert summary.correlations() == {("x", "y"): pearson(columns["x"], columns["y"])}
+        assert summary.gap_stats() == {m: gap_stats(c) for m, c in columns.items()}
