@@ -4,11 +4,14 @@ The rows are those of "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\\n" for every
 (index_p, index_q) pair, byte for byte, without a str.format call per row.
 For one index_p, the index_q values fall into at most four runs of equal
 digit count (0-9, 10-99, 100-999, 1000 up), and while every value prints as
-d.dddddd, all rows of one run have the same width. A block of whole index_p
-rows, as many as fit in PAIR_BLOCK pairs and at least one, is one uint8
-buffer of shape (index_p rows, bytes per index_p row); each index_q run is a
-strided view of it, a slab of shape (index_p rows, run length, row width).
-The buffer goes to the file as it is, with no mask and no gather.
+d.dddddd, all rows of one run have the same width. A call gets one block of
+the kernel's one block loop (divergence._measure_blocks) and cuts it into
+ceil(pairs / PAIR_BLOCK) parts of whole index_p rows whose row counts differ
+by one at most; where an index_p width changes inside a part, it is cut
+there too. A part is one uint8 buffer of shape (index_p rows, bytes per
+index_p row); each index_q run is a strided view of it, a slab of shape
+(index_p rows, run length, row width). The buffer goes to the file as it
+is, with no mask and no gather.
 
 The "{i}," and "{j}," prefixes are copied from byte tables of the indices,
 broadcast along the other axis. A value is rounded to micro-units with
@@ -121,8 +124,12 @@ def write_pair_rows(
     words = [(dot, _words("{:03d},"))] * (len(columns) - 1) + [(dot, _words("{:03d}\n"))]
     bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
     runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    step, last = max(1, PAIR_BLOCK // count), first + len(columns[0]) // count
+    rows = len(columns[0]) // count
+    parts = min(rows, -(-rows * count // PAIR_BLOCK))
+    cuts = [first + k * rows // parts for k in range(parts + 1)]
     for lo, hi, p_index in runs:
-        for i in range(max(lo, first), min(hi, last), step):
-            prefix = p_index[i - lo : min(i + step, hi, last) - lo]
-            _write_block(fh, columns, words, runs, (i - first) * count, first * count, prefix)
+        for i, j in zip(cuts, cuts[1:]):
+            i, j = max(i, lo), min(j, hi)
+            if i < j:
+                prefix = p_index[i - lo : j - lo]
+                _write_block(fh, columns, words, runs, (i - first) * count, first * count, prefix)

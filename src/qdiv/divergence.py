@@ -23,6 +23,7 @@ from .distributions import QuantumDistribution
 from .errors import INT64_DOTS_BUDGET, DomainMismatch, QuantumMismatch, check_budget
 
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
+_BLOCK = 1 << 16  # entries a _measure_blocks block holds, or one counts_p row if that is longer
 
 
 @dataclass(frozen=True)
@@ -213,19 +214,8 @@ def _counts_array(counts, total: int) -> np.ndarray:
     return np.clip(c, 0, total + 1).astype(np.int64) if c.dtype == object else c
 
 
-def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
-    """Every measure between each row of counts_p and each row of counts_q.
-
-    counts_p is (a, n), counts_q is (b, n), integer multiplicities on the
-    quantum 1/total, as int64 arrays or nested sequences of ints. Floats,
-    bools, strings and ragged rows raise DomainMismatch; ints past int64 lie
-    above any total or below 1 and raise QuantumMismatch. Returns (a, b)
-    arrays kl, kn, jsd, hellinger_squared and jaccard equal bit for bit to
-    the scalar functions: the same _*_term functions give each distinct
-    (kp, kq) term, cells add left to right, and kn divides by kl against
-    build_maximizer's opponent (first minimal cell). Counts are int64, so a
-    total past INT64_DOTS_BUDGET raises BudgetExceeded.
-    """
+def _measure_blocks(counts_p, counts_q, total: int):
+    """measures() in blocks of whole counts_p rows: (first row, views of reused buffers)."""
     check_budget(total, INT64_DOTS_BUDGET, "dots")
     try:
         cp, cq = _counts_array(counts_p, total), _counts_array(counts_q, total)
@@ -264,14 +254,12 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     low, (one, top) = cp.argmin(axis=1), np.searchsorted(kq_values, (1, block))
     kl_max = sum(kl_t.take(pi[:, c] + np.where(low == c, top, one)) for c in range(n))
     kl_max[kl_max == 0.0] = 1.0  # one distribution (total == cells or cells == 1): kl 0
-    # zeros: each sum starts at 0.0 and adds cell 0, 1, ... in turn, as the loops do
-    out = {m: np.zeros((a, len(cq))) for m in ("kl", "kn", "jsd", "hellinger_squared", "jaccard")}
-    step = min(a, max(1, (1 << 16) // len(cq)))  # keeps each temporary near 2**16 entries
-    index, term = np.empty((step, len(cq)), np.int64), np.empty((step, len(cq)))
+    step = min(a, max(1, _BLOCK // len(cq)))
+    buffers = [np.empty((step, len(cq)), dtype) for dtype in [float] * 6 + [np.int64]]
     for start in range(0, a, step):
         rows = slice(start, start + step)
-        kl, jsd, he = out["kl"][rows], out["jsd"][rows], out["hellinger_squared"][rows]
-        at, cell = index[: len(kl)], term[: len(kl)]
+        kl, kn, jsd, he, jaccard, cell, at = (b[: a - start] for b in buffers)
+        kl[:] = jsd[:] = he[:] = 0.0  # each sum adds cell 0, 1, ... to 0.0, as the loops do
         for c in range(n):
             np.add(pi[rows, c, None], qi[:, c], out=at)
             for table, acc in ((kl_t, kl), (jsd_t, jsd), (he_t, he)):
@@ -279,14 +267,37 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
                 acc += np.take(table, at, out=cell, mode="clip")
         jsd *= 0.5
         he *= 0.5
-        out["kn"][rows] = out["kl"][rows] / kl_max[rows, None]
+        np.divide(kl, kl_max[rows, None], out=kn)
         # jaccard, 1 - mins / (2 * total - mins), from the sum of minima in at
         np.minimum(cp[rows, 0, None], cq[:, 0], out=at)
         for c in range(1, n):
             at += np.minimum(cp[rows, c, None], cq[:, c])
         if 2 * total <= 2**53:  # float64 holds every int up to 2**53 exactly
             np.subtract(2 * total, at, out=cell)
-            np.subtract(1.0, np.divide(at, cell, out=cell), out=out["jaccard"][rows])
+            np.subtract(1.0, np.divide(at, cell, out=cell), out=jaccard)
         else:  # divide the exact ints, as jaccard_distance does
-            out["jaccard"][rows] = [[1.0 - m / (2 * total - m) for m in r] for r in at.tolist()]
+            jaccard[:] = [[1.0 - m / (2 * total - m) for m in r] for r in at.tolist()]
+        yield start, {"kl": kl, "kn": kn, "jsd": jsd, "hellinger_squared": he, "jaccard": jaccard}
+
+
+def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
+    """Every measure between each row of counts_p and each row of counts_q.
+
+    counts_p is (a, n), counts_q is (b, n), integer multiplicities on the
+    quantum 1/total, as int64 arrays or nested sequences of ints. Floats,
+    bools, strings and ragged rows raise DomainMismatch; ints past int64 lie
+    above any total or below 1 and raise QuantumMismatch. Returns (a, b)
+    arrays kl, kn, jsd, hellinger_squared and jaccard equal bit for bit to
+    the scalar functions: the same _*_term functions give each distinct
+    (kp, kq) term, cells add left to right, and kn divides by kl against
+    build_maximizer's opponent (first minimal cell). Counts are int64, so a
+    total past INT64_DOTS_BUDGET raises BudgetExceeded. The arrays come from
+    _measure_blocks, the kernel's one block loop: one block's own, or copied in.
+    """
+    out = {}
+    for first, values in _measure_blocks(counts_p, counts_q, total):
+        if len(values["kl"]) == len(counts_p):
+            return values  # one block, whose buffers nothing reuses
+        for m, v in values.items():
+            out.setdefault(m, np.empty((len(counts_p), v.shape[1])))[first : first + len(v)] = v
     return out

@@ -7,10 +7,10 @@ Writers take lines as they are formatted, so no whole CSV is held in memory.
 The study and rank CSVs are written by _write_study_rows, which zips lazily
 formatted columns into lines.
 
-The pairwise sweep, a million pairs at 15/5, goes one block of whole
-index_p rows at a time, SWEEP_BLOCK pairs or fewer: one measures() call
-scores the block, _pairrows writes its rows (its docstring has the
-format) and a stats.ColumnSummary folds it into the summary's moments,
+The pairwise sweep, a million pairs at 15/5, walks the kernel's one block
+loop, divergence._measure_blocks, which scores whole index_p rows, up to
+2**16 pairs, at a time: _pairrows writes each block (its docstring has
+the format) and a stats.ColumnSummary folds it into the summary's moments,
 maxima and distinct values. So the sweep's memory does not grow with the
 pair count; PairwiseResult.values scores the whole grid again when read.
 
@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._pairrows import write_pair_rows
-from .divergence import MEASURE_LABELS, measures
+from .divergence import MEASURE_LABELS, _measure_blocks, measures
 from .enumeration import _check, _compositions, _partition_matrix, count_ordered, count_unordered
 from .errors import (
     PAIR_BUDGET,
@@ -53,10 +53,6 @@ from .errors import (
 from .stats import ColumnSummary, GapStats, fractional_ranks, pearson, property_columns
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
-# pairs scored, written and summarized at a time: the kernel's five float64
-# blocks take 2.6 MB, and the summary's two buffers 1 MB; at 15/5 this ran
-# faster than 2**15 and 2**17 (peak RSS 33 and 41 MB against 37 MB)
-SWEEP_BLOCK = 1 << 16
 
 
 @dataclass
@@ -104,7 +100,7 @@ class PairwiseResult:
     @cached_property
     def values(self) -> dict[str, np.ndarray]:
         total = sum(self.counts[0].tolist())
-        return dict(zip(MEASURE_LABELS, _pair_columns(self.counts, self.counts, total)))
+        return dict(zip(MEASURE_LABELS, _pair_columns(measures(self.counts, self.counts, total))))
 
 
 @dataclass
@@ -136,12 +132,10 @@ def _write_text(path: Path, lines: Iterable[str]) -> None:
         fh.writelines(map("{}\n".format, lines))
 
 
-def _pair_columns(counts_p, counts_q, total: int) -> list[np.ndarray]:
-    """MEASURE_LABELS' columns of every pair, row-major; hellinger unsquared."""
-    values = measures(counts_p, counts_q, total)
+def _pair_columns(values: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """measures() values as MEASURE_LABELS' columns, row-major; hellinger unsquared in place."""
     np.sqrt(values["hellinger_squared"], out=values["hellinger_squared"])
-    values["hellinger"] = values.pop("hellinger_squared")
-    return [values[m].ravel() for m in MEASURE_LABELS]
+    return [values[m].ravel() for m in ("kl", "kn", "jsd", "hellinger_squared", "jaccard")]
 
 
 def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> PairwiseResult:
@@ -152,10 +146,7 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     enumeration, plus a companion summary CSV with the Pearson correlations
     between measure columns and gap statistics per column. Raises
     BudgetExceeded when the pair count would pass PAIR_BUDGET. The sweep
-    goes one block of whole index_p rows at a time, as many as fit in
-    SWEEP_BLOCK pairs and at least one: the kernel scores the block,
-    _pairrows writes it and a stats.ColumnSummary folds it in, so memory
-    does not grow with the pair count.
+    goes a kernel block at a time (module docstring), in bounded memory.
     """
     out_path = Path(out_path)
     count = count_unordered(total, cells)
@@ -164,11 +155,10 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
 
     counts = np.array(list(_compositions(total, cells)))
     summary = ColumnSummary(MEASURE_LABELS)
-    step = max(1, SWEEP_BLOCK // count)
     with open(out_path, "wb") as fh:
         fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")
-        for first in range(0, count, step):
-            columns = _pair_columns(counts[first : first + step], counts, total)
+        for first, values in _measure_blocks(counts, counts, total):
+            columns = _pair_columns(values)
             write_pair_rows(fh, count, columns, first)
             summary.add(columns)
 

@@ -105,12 +105,39 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def pearson_pairs(columns: Mapping[str, np.ndarray]) -> dict[tuple[str, str], float]:
     """The Pearson correlation of columns[a] and columns[b] for every a before b.
 
-    ColumnSummary's one-block case. Pairs with fewer than two points or a
-    zero-variance column, where pearson raises DegenerateInput, are left out.
+    ColumnSummary's one-block case, from the same moments without its gap
+    statistics. Pairs with fewer than two points or a zero-variance column,
+    where pearson raises DegenerateInput, are left out.
     """
-    summary = ColumnSummary(columns)
-    summary.add(list(columns.values()))
-    return summary.correlations()
+    arrays = list(columns.values())
+    if not arrays or len(arrays[0]) < 2:
+        return {}
+    return _correlations(list(columns), _moments(arrays)[1])
+
+
+def _moments(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's .mean(), and np.sum of each pair's centred products in two buffers, no BLAS."""
+    means = np.array([c.mean() for c in columns])
+    comoments = np.empty((len(columns), len(columns)))
+    xc, yc = np.empty(len(columns[0])), np.empty(len(columns[0]))
+    for i, a in enumerate(columns):
+        np.subtract(a, means[i], out=xc)
+        comoments[i, i] = np.sum(np.multiply(xc, xc, out=yc))
+        for j in range(i + 1, len(columns)):
+            np.subtract(columns[j], means[j], out=yc)
+            comoments[i, j] = comoments[j, i] = np.sum(np.multiply(xc, yc, out=yc))
+    return means, comoments
+
+
+def _correlations(names: Sequence[str], comoments: np.ndarray) -> dict[tuple[str, str], float]:
+    """Pearson of names[i] and names[j], i < j, from centred co-moments, but for zero variance."""
+    squares, coefficients = comoments.diagonal().tolist(), {}
+    for i, a in enumerate(names):
+        for j in range(i + 1, len(names)):
+            den = math.sqrt(squares[i] * squares[j])
+            if den != 0.0:
+                coefficients[(a, names[j])] = float(comoments[i, j]) / den
+    return coefficients
 
 
 class ColumnSummary:
@@ -119,12 +146,11 @@ class ColumnSummary:
     It holds the count, each column's mean, the matrix of centred co-moments
     (sums of products of deviations from the means), each column's maximum
     and its distinct values rounded to 12 decimals. A block's own moments
-    are .mean() and np.sum of centred products; the first block's are kept
+    come from _moments, as pearson_pairs' do; the first block's are kept
     as they are, so a one-block fold equals the whole-column formulas bit
     for bit. Each later block merges in with the pairwise update of Chan,
     Golub and LeVeque (1983), which may move the last bits. Maxima merge by
-    max and distinct values by union, exactly. Two buffers of a block's
-    length serve every product, and no product goes through BLAS.
+    max and distinct values by union, exactly.
     """
 
     def __init__(self, names: Iterable[str]):
@@ -141,17 +167,10 @@ class ColumnSummary:
         size = len(columns[0]) if columns else 0
         if size == 0:
             return
-        means = np.array([c.mean() for c in columns])
-        comoments = np.empty_like(self.comoments)
-        xc, yc = np.empty(size), np.empty(size)
+        means, comoments = _moments(columns)
+        rounded = np.empty(size)  # each column's rounded copy, which _distinct sorts in place
         for i, a in enumerate(columns):
-            np.subtract(a, means[i], out=xc)
-            comoments[i, i] = np.sum(np.multiply(xc, xc, out=yc))
-            for j in range(i + 1, len(columns)):
-                np.subtract(columns[j], means[j], out=yc)
-                comoments[i, j] = comoments[j, i] = np.sum(np.multiply(xc, yc, out=yc))
-            # the rounded copy goes in xc, which _distinct sorts in place
-            block = _distinct(np.round(a, 12, out=xc))
+            block = _distinct(np.round(a, 12, out=rounded))
             if self.count:
                 block = _distinct(np.concatenate([self.distinct[i], block]))
             self.distinct[i] = block
@@ -166,15 +185,7 @@ class ColumnSummary:
 
     def correlations(self) -> dict[tuple[str, str], float]:
         """pearson_pairs of every column folded in so far."""
-        if self.count < 2:
-            return {}
-        squares, coefficients = self.comoments.diagonal().tolist(), {}
-        for i, a in enumerate(self.names):
-            for j in range(i + 1, len(self.names)):
-                den = math.sqrt(squares[i] * squares[j])
-                if den != 0.0:
-                    coefficients[(a, self.names[j])] = float(self.comoments[i, j]) / den
-        return coefficients
+        return _correlations(self.names, self.comoments) if self.count >= 2 else {}
 
     def gap_stats(self) -> dict[str, GapStats]:
         """gap_stats of every column folded in so far; each must have had finite values."""

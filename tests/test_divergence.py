@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qdiv import (
     make_comparable,
     measures,
 )
+from qdiv import divergence
 from qdiv.divergence import _kl_term
 
 
@@ -192,6 +194,10 @@ class TestScalarLoop:
         assert 0.0 <= jsd(p, q) < 1e-320
 
 
+# a total past 2**52, where jaccard divides exact ints
+BIG = 2**60 + 12345
+
+
 class TestBatchedKernel:
     @given(pair_strategy(max_cells=10))
     @settings(max_examples=150, deadline=None)
@@ -289,6 +295,39 @@ class TestBatchedKernel:
             ("hellinger_squared", hellinger_squared), ("jaccard", jaccard_distance),
         ):
             assert values[name][:, 0].tolist() == [fn(p, q), fn(q, q)], name
+
+    @given(
+        st.tuples(
+            st.integers(2, 10), st.one_of(st.integers(10, 60), st.integers(2**53, 2**62 - 1))
+        ).flatmap(
+            lambda drawn: st.tuples(
+                st.just(drawn[1]),
+                st.lists(composition(*drawn), min_size=4, max_size=7),
+                st.lists(composition(*drawn), min_size=2, max_size=4),
+            )
+        ),
+        st.sampled_from([1, 3]),
+    )
+    @example((BIG, [(BIG - 7 * k, *[k] * 7) for k in (1, 2, 3, 4)],
+              [(*[k] * 7, BIG - 7 * k) for k in (1, 9)]), 3)
+    @example((BIG, [(BIG - 8 * k, *[k] * 8) for k in (1, 2, 3, 4)],
+              [(*[k] * 8, BIG - 8 * k) for k in (1, 9)]), 1)
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_equal_scalar_functions(self, drawn, rows):
+        # blocks of one or three counts_p rows, each against every counts_q
+        # row; where 2 * total passes 2**53, each block divides exact ints
+        total, ps, qs = drawn
+        with mock.patch.object(divergence, "_BLOCK", rows * len(qs)):
+            firsts = [first for first, _ in divergence._measure_blocks(ps, qs, total)]
+            values = measures(ps, qs, total)
+        assert firsts == list(range(0, len(ps), rows))
+        ps, qs = map(from_multiplicities, ps), list(map(from_multiplicities, qs))
+        pairs = [[(p, q) for q in qs] for p in ps]
+        for name, fn in (
+            ("kl", kl), ("kn", kn), ("jsd", jsd),
+            ("hellinger_squared", hellinger_squared), ("jaccard", jaccard_distance),
+        ):
+            assert values[name].tolist() == [[fn(p, q) for p, q in row] for row in pairs], name
 
 
 class TestAgainstScipy:

@@ -32,7 +32,8 @@ from qdiv import (
     run_uniform_study,
     write_uniform_study_csv,
 )
-from qdiv import _pairrows, experiments
+from qdiv import _pairrows, divergence, experiments
+from qdiv.stats import ColumnSummary
 
 PAIRWISE_HEADER = "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
 
@@ -168,13 +169,26 @@ class TestSweepBlocks:
         # blocks of one or three index_p rows; at one, 47/2's str.format rows
         # each start a block
         default = run_pairwise_experiment(total, cells, tmp_path / "default.csv")
-        with mock.patch.object(experiments, "SWEEP_BLOCK", rows * len(default.counts)):
+        count = len(default.counts)
+        fold = mock.patch.object(ColumnSummary, "add", autospec=True, side_effect=ColumnSummary.add)
+        with mock.patch.object(divergence, "_BLOCK", rows * count), fold as add:
             blocked = run_pairwise_experiment(total, cells, tmp_path / "blocked.csv")
+        assert add.call_count == -(-count // rows)
         assert blocked.out_path.read_bytes() == default.out_path.read_bytes()
         assert blocked.summary_path.read_bytes() == default.summary_path.read_bytes()
         assert blocked.correlations.keys() == default.correlations.keys()
         for (a, b), rho in blocked.correlations.items():
             assert rho == pytest.approx(pearson(blocked.values[a], blocked.values[b]), rel=1e-12)
+
+    def test_counts_are_prepared_once(self, tmp_path):
+        # 40 blocks of three index_p rows at 11/8 share one check and one
+        # conversion of each side's counts
+        calls = mock.patch.object(
+            divergence, "_counts_array", side_effect=divergence._counts_array
+        )
+        with mock.patch.object(divergence, "_BLOCK", 3 * 120), calls as counts_array:
+            run_pairwise_experiment(11, 8, tmp_path / "p.csv")
+        assert counts_array.call_count == 2
 
     @pytest.mark.parametrize("total, cells", [(14, 5), (15, 5)])
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path, total, cells):
@@ -275,6 +289,16 @@ class TestPairRowFormat:
         for i, j, row in data.draw(st.lists(drawn, max_size=30)):
             rows[i * count + j] = row
         check_pair_rows(count, block, rows)
+
+    def test_kernel_block_splits_evenly(self):
+        # a 50-row kernel block at 14/6 (1,287 pairs a row, 4 parts of at most
+        # PAIR_BLOCK pairs on average) goes out as 12, 13, 12 and 13 rows
+        count, first = 1287, 100
+        columns = [np.full(50 * count, 0.25)] * 5
+        writes = mock.patch.object(_pairrows, "_write_block", wraps=_pairrows._write_block)
+        with writes as write_block:
+            _pairrows.write_pair_rows(io.BytesIO(), count, columns, first)
+        assert [len(c.args[-1]) for c in write_block.call_args_list] == [12, 13, 12, 13]
 
     @pytest.mark.parametrize(
         "block, values",
