@@ -14,6 +14,7 @@ stacked on a cell where the first argument is smallest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .errors import INT64_DOTS_BUDGET, DomainMismatch, QuantumMismatch, check_bu
 
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
 _BLOCK = 1 << 16  # entries a _measure_blocks block holds, or one counts_p row if that is longer
+_TABLE_TOP = 28  # largest top = M - n + 1 whose three term tables take about 1 ms to build
 
 
 @dataclass(frozen=True)
@@ -40,30 +42,15 @@ class MaximizerResult:
     argmin_cell: int
 
 
-def _check_cells(p: QuantumDistribution, q: QuantumDistribution) -> None:
-    if len(p.multiplicities) != len(q.multiplicities):
-        raise DomainMismatch(
-            f"cannot compare {p.cardinality} cells against {q.cardinality}"
-        )
-
-
-def _common_total(p: QuantumDistribution, q: QuantumDistribution) -> int:
-    """M shared by a same-quantum pair with equal cell counts."""
-    _check_cells(p, q)
-    m = p.total
-    if m != q.total:
-        raise QuantumMismatch(
-            f"totals differ ({m} vs {q.total}); rescale to a common quantum first"
-        )
-    return m
+def _cell_mismatch(p: QuantumDistribution, q: QuantumDistribution) -> DomainMismatch:
+    return DomainMismatch(f"cannot compare {p.cardinality} cells against {q.cardinality}")
 
 
 # Per-cell terms of kl, jsd and hellinger_squared for multiplicities kp, kq
-# on the quantum 1/m. measures() builds its tables from these and _cell_sum
-# adds them up, so the scalar functions and the kernel agree bit for bit.
+# on the quantum 1/m. measures() and _cell_sum both build their tables from
+# these, so the scalar functions and the kernel agree bit for bit.
 def _kl_term(kp: int, kq: int, m: int) -> float:
     try:
-        # the same expression as the loop in kl()
         return (kp / m) * math.log2(kp / kq)
     except (OverflowError, ValueError):
         # kp / kq overflows, or underflows to 0.0: log each exact int instead
@@ -87,12 +74,36 @@ def _hellinger_term(kp: int, kq: int, m: int) -> float:
     return d * d
 
 
+@functools.lru_cache(maxsize=4)
+def _term_rows(term, m: int, top: int) -> tuple[tuple[float, ...], ...]:
+    """term(kp, kq, m) at [kp][kq] for kp, kq in [1, top]; row 0 and entry 0 are unused."""
+    span = range(1, top + 1)
+    return ((),) + tuple((0.0, *[term(kp, kq, m) for kq in span]) for kp in span)
+
+
 def _cell_sum(p: QuantumDistribution, q: QuantumDistribution, term) -> float:
-    """term over each cell of a same-quantum pair, added left to right."""
-    m = _common_total(p, q)
+    """term over each cell of a same-quantum pair, added left to right from 0.0.
+
+    Each count lies in [1, top], top = M - n + 1: up to _TABLE_TOP the terms are read
+    from _term_rows' table of them, past it (a total of 10**400, say) term is called.
+    """
+    ps, qs = p.multiplicities, q.multiplicities
+    if len(ps) != len(qs):
+        raise _cell_mismatch(p, q)
+    m = p.total
+    if m != q.total:
+        raise QuantumMismatch(
+            f"totals differ ({m} vs {q.total}); rescale to a common quantum first"
+        )
     total = 0.0
-    for kp, kq in zip(p.multiplicities, q.multiplicities):
-        total += term(kp, kq, m)
+    top = m - len(ps) + 1
+    if top <= _TABLE_TOP:
+        rows = _term_rows(term, m, top)
+        for kp, kq in zip(ps, qs):
+            total += rows[kp][kq]
+    else:
+        for kp, kq in zip(ps, qs):
+            total += term(kp, kq, m)
     return total
 
 
@@ -101,19 +112,8 @@ def kl(p: QuantumDistribution, q: QuantumDistribution) -> float:
 
     Non-negative, zero exactly when the distributions are equal. Finite for
     every valid pair because quantum distributions have no zero cells.
-    The oracle makes one call per pair, so the term is written out here
-    rather than called through _cell_sum; a ratio of multiplicities past
-    float range sends the pair through _cell_sum and _kl_term's fallback.
     """
-    m = _common_total(p, q)
-    total = 0.0
-    try:
-        for kp, kq in zip(p.multiplicities, q.multiplicities):
-            # the same expression as _kl_term, so kl equals measures()["kl"]
-            total += (kp / m) * math.log2(kp / kq)
-    except (OverflowError, ValueError):
-        return _cell_sum(p, q, _kl_term)
-    return total
+    return _cell_sum(p, q, _kl_term)
 
 
 def build_maximizer(p: QuantumDistribution) -> MaximizerResult:
@@ -175,7 +175,8 @@ def jaccard_distance(p: QuantumDistribution, q: QuantumDistribution) -> float:
     - sum(min), the identity measures() uses. Both arguments should share a
     quantum for the result to mean anything; rescale first if they do not.
     """
-    _check_cells(p, q)
+    if p.cardinality != q.cardinality:
+        raise _cell_mismatch(p, q)
     mins = sum(map(min, p.multiplicities, q.multiplicities))
     return 1.0 - mins / (p.total + q.total - mins)
 

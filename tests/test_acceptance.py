@@ -152,6 +152,7 @@ def test_maximizer_is_optimal_everywhere():
     assert report.checked == 1001
     assert report.violations == []
     assert f"{report.max_gap:.3e}" == "2.220e-16"  # as `qdiv verify` prints it
+    assert report.max_gap.hex() == "0x1.0000000000000p-52"
 
 
 def test_special_case_margin():

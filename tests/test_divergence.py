@@ -26,7 +26,7 @@ from qdiv import (
     measures,
 )
 from qdiv import divergence
-from qdiv.divergence import _kl_term
+from qdiv.divergence import _hellinger_term, _jsd_term, _kl_term
 
 
 def pair_strategy(max_cells=6, max_value=30):
@@ -53,6 +53,43 @@ def composition(cells, total):
     return st.lists(
         st.integers(1, total - 1), min_size=cells - 1, max_size=cells - 1, unique=True
     ).map(lambda cuts: tuple(np.diff([0, *sorted(cuts), total]).tolist()))
+
+
+def reference_sum(p, q, term):
+    """term over the cells of (p, q), called on each and added left to right from 0.0."""
+    m = p.total
+    total = 0.0
+    for kp, kq in zip(p.multiplicities, q.multiplicities):
+        total += term(kp, kq, m)
+    return total
+
+
+def reference_kl(p, q):
+    """kl as a loop of _kl_term's expression written out, or of _kl_term past float range."""
+    m = p.total
+    total = 0.0
+    try:
+        for kp, kq in zip(p.multiplicities, q.multiplicities):
+            total += (kp / m) * math.log2(kp / kq)
+    except (OverflowError, ValueError):
+        return reference_sum(p, q, _kl_term)
+    return total
+
+
+def assert_equals_reference(p, q):
+    """kl, kn, jsd and hellinger_squared of (p, q) equal the reference loops bit for bit."""
+    value = reference_kl(p, q)
+    expected = (
+        value,
+        0.0 if p == q else value / reference_kl(p, build_maximizer(p).maximizer),
+        0.5 * reference_sum(p, q, _jsd_term),
+        0.5 * reference_sum(p, q, _hellinger_term),
+    )
+    assert (kl(p, q), kn(p, q), jsd(p, q), hellinger_squared(p, q)) == expected, (p, q)
+
+
+# the largest top = M - n + 1 whose terms the scalar measures read from a table
+TOP = divergence._TABLE_TOP
 
 
 class TestWorkedExamples:
@@ -126,15 +163,17 @@ class TestMaximizer:
 
 class TestValidation:
     def test_cells_must_match(self):
-        for measure in (kl, jsd, hellinger):
-            with pytest.raises(DomainMismatch, match=r"^cannot compare 3 cells against 2$"):
-                measure(from_multiplicities([2, 1, 1]), from_multiplicities([2, 2]))
+        # cells are checked before totals: (3, 2) differs in both
+        for measure in (kl, kn, jsd, hellinger, hellinger_squared, jaccard_distance):
+            for q in (2, 2), (3, 2):
+                with pytest.raises(DomainMismatch, match=r"^cannot compare 3 cells against 2$"):
+                    measure(from_multiplicities([2, 1, 1]), from_multiplicities(q))
 
     def test_quantum_must_match(self):
         p = from_multiplicities([2, 1, 1])
         q = from_multiplicities([3, 2, 1])
         message = r"^totals differ \(4 vs 6\); rescale to a common quantum first$"
-        for measure in (kl, kn, jsd, hellinger):
+        for measure in (kl, kn, jsd, hellinger, hellinger_squared):
             with pytest.raises(QuantumMismatch, match=message):
                 measure(p, q)
 
@@ -155,15 +194,72 @@ class TestScalarLoop:
             )
         )
     )
+    @example(([10**400, 1], [1, 10**400]))
+    @example(([2 * 10**400, 2, 1], [2 * 10**400, 1, 2]))
+    @example(([10**400 - 5 * 10**76 - 1, 5 * 10**76, 1],
+              [10**400 - 5 * 10**76 - 1, 1, 5 * 10**76]))
     @settings(max_examples=200, deadline=None)
     def test_kl_equals_term_loop_bitwise(self, counts):
         p, q = make_comparable(*map(from_multiplicities, counts))
-        m = p.total
-        reference = 0.0
-        for kp, kq in zip(p.multiplicities, q.multiplicities):
-            reference += _kl_term(kp, kq, m)
-        assert kl(p, q) == reference
+        assert_equals_reference(p, q)
         assert kl(p, p) == 0.0
+
+    @given(
+        st.tuples(st.integers(2, 6), st.integers(0, 2**20)).flatmap(
+            lambda drawn: st.tuples(*[composition(drawn[0], 2**62 + drawn[1])] * 2)
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_equals_reference_past_int64_totals(self, counts):
+        assert_equals_reference(*map(from_multiplicities, counts))
+
+    def test_every_pair_of_small_domains(self):
+        for spec in (11, 5), (47, 2):
+            ds = list(enumerate_unordered(*spec))
+            for p in ds:
+                for q in ds:
+                    assert_equals_reference(p, q)
+
+    @given(
+        st.sampled_from([(14, 6), (20, 4)]).flatmap(
+            lambda spec: st.tuples(st.just(spec), composition(spec[1], spec[0]))
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_opponent_on_larger_domains(self, drawn):
+        # every pair of 14/6 and 20/4 is 2.6M pairs; each drawn p meets every q
+        spec, counts = drawn
+        p = from_multiplicities(counts)
+        for q in enumerate_unordered(*spec):
+            assert_equals_reference(p, q)
+
+    @given(
+        st.tuples(st.integers(1, 8), st.sampled_from([TOP, TOP + 1])).flatmap(
+            lambda drawn: st.tuples(*[composition(drawn[0], drawn[1] + drawn[0] - 1)] * 2)
+        )
+    )
+    @example(((TOP, 1, 1), (1, 1, TOP)))
+    @example(((TOP + 1, 1, 1), (1, 1, TOP + 1)))
+    @example(((TOP,), (TOP,)))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_reference_on_each_side_of_the_table_bound(self, counts):
+        # every count lies in [1, top]: a table up to top == TOP, term calls past it
+        assert_equals_reference(*map(from_multiplicities, counts))
+
+    def test_no_table_past_the_bound(self):
+        big = 10**400
+        for counts in ([big, 1], [1, big]), ([TOP + 1, 1, 1], [1, 1, TOP + 1]):
+            p, q = map(from_multiplicities, counts)
+            misses = divergence._term_rows.cache_info().misses
+            for measure in (kl, kn, jsd, hellinger_squared):
+                measure(p, q)
+            assert divergence._term_rows.cache_info().misses == misses, counts
+        # at top == TOP the first call builds kl's table and the next reads it
+        divergence._term_rows.cache_clear()
+        p, q = from_multiplicities([TOP, 1, 1]), from_multiplicities([1, 1, TOP])
+        assert kl(p, q) == kl(q, p)
+        info = divergence._term_rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_jsd_of_underflowing_cells(self):
         # 2 / m and 1 / m are both 0.0 here, as is the true term (about 1e-400)

@@ -54,6 +54,19 @@ class TestSweep:
             assert report.violations == []
             assert report.max_gap <= 1e-9
 
+    @pytest.mark.parametrize(
+        "spec, checked, gap",
+        [
+            ((14, 6), 1287, "0x1.0000000000000p-52"),
+            ((20, 4), 969, "0x1.0000000000000p-51"),
+            ((11, 5), 210, "0x1.0000000000000p-52"),
+        ],
+    )
+    def test_pinned_bits(self, spec, checked, gap):
+        # the float noise of max_gap, bit for bit; 15/5 is pinned in test_acceptance
+        report = verify_maximizer_sweep(spec)
+        assert (report.checked, len(report.violations), report.max_gap.hex()) == (checked, 0, gap)
+
     def test_report_holds_the_pair(self):
         report = verify_maximizer_sweep((6, 3))
         assert report.checked == 10
