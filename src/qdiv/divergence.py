@@ -84,8 +84,7 @@ def _term_rows(term, m: int, top: int) -> tuple[tuple[float, ...], ...]:
 def _cell_sum(p: QuantumDistribution, q: QuantumDistribution, term) -> float:
     """term over each cell of a same-quantum pair, added left to right from 0.0.
 
-    Each count lies in [1, top], top = M - n + 1: up to _TABLE_TOP the terms are read
-    from _term_rows' table of them, past it (a total of 10**400, say) term is called.
+    Counts lie in [1, M - n + 1]: read from _term_rows' table up to _TABLE_TOP, else called.
     """
     ps, qs = p.multiplicities, q.multiplicities
     if len(ps) != len(qs):
