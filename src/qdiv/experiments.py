@@ -5,7 +5,7 @@ fixed-point reals, LF line endings, UTF-8. Every value comes from
 divergence.measures on the calling thread; there are no worker threads.
 Writers take lines as they are formatted, so no whole CSV is held in memory.
 The study and rank CSVs are written by _write_study_rows, which zips lazily
-formatted columns into lines.
+formatted columns into lines, _ROW_CHUNK rows at a time.
 
 The pairwise sweep, a million pairs at 15/5, walks the kernel's one block
 loop, divergence._measure_blocks, which scores whole index_p rows, up to
@@ -19,6 +19,9 @@ cells) int64 count matrix (enumeration._partition_matrix) and keeps it;
 the pairwise sweep stacks the multiplicity tuples of the _compositions
 successor generator into one. No writer builds a distribution: the study
 CSV's shape properties come from the matrix, through stats.property_columns.
+The study's measure and rank columns stay the kernel's float64 arrays up to
+the writer, which turns one chunk of rows at a time into Python values, and
+the tables, which read the maximum and the left-to-right mean off the arrays.
 
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -31,11 +34,10 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, product
-from operator import add
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .errors import (
 from .stats import ColumnSummary, GapStats, fractional_ranks, pearson, property_columns
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
+_ROW_CHUNK = 1024  # study rows formatted at a time
 
 
 @dataclass
@@ -61,7 +64,7 @@ class UniformStudy:
 
     counts is the (distributions, cells) int64 matrix of multiplicities,
     one row per distribution, lex-descending; values maps each of
-    TABLE_MEASURES to its column of floats, in the same order. Asymmetric
+    TABLE_MEASURES to its 1-D float64 array, in the same order. Asymmetric
     measures put the enumerated distribution first: kl(P, uniform) and
     kn(P, uniform). hellinger holds the squared form (see module
     docstring). Ranks are computed on demand, by the writers that print or
@@ -69,14 +72,14 @@ class UniformStudy:
     """
 
     counts: np.ndarray
-    values: dict[str, list[float]]
+    values: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.counts)
 
-    def ranks(self) -> dict[str, list[float]]:
-        """Each measure's ranks, ascending by value with average ties."""
-        return {m: fractional_ranks(self.values[m]).tolist() for m in TABLE_MEASURES}
+    def ranks(self) -> dict[str, np.ndarray]:
+        """Each measure's float64 ranks, ascending by value with average ties."""
+        return {m: fractional_ranks(self.values[m]) for m in TABLE_MEASURES}
 
 
 @dataclass
@@ -116,13 +119,14 @@ def _f6(v: float | None) -> str:
     return "" if v is None else f"{v:.6f}"
 
 
-def _mean(values: Sequence[float]) -> float:
-    """The left-to-right sum of values over their count.
+def _mean(values: np.ndarray | Sequence[float]) -> float:
+    """The left-to-right sum of values, from 0.0, over their count.
 
-    From Python 3.12 on the builtin sum compensates float rounding, so its
-    last bits, and a printed digit at worst, would depend on the version.
+    np.add.accumulate adds in order; ndarray.sum adds pairwise, and from
+    Python 3.12 on the builtin sum compensates float rounding, so either
+    would move the last bits, and a printed digit at worst.
     """
-    return reduce(add, values, 0.0) / len(values)
+    return float(np.add.accumulate(np.append(0.0, values))[-1]) / len(values)
 
 
 def _write_text(path: Path, lines: Iterable[str]) -> None:
@@ -204,17 +208,33 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     counts = _partition_matrix(total, cells)
     kernel = measures(counts, [(total // cells,) * cells], total)
     kernel["hellinger"] = kernel.pop("hellinger_squared")
-    # pop frees each array once its column of floats exists
-    return UniformStudy(counts, {m: kernel.pop(m)[:, 0].tolist() for m in TABLE_MEASURES})
+    return UniformStudy(counts, {m: kernel.pop(m)[:, 0] for m in TABLE_MEASURES})
 
 
 def _write_study_rows(path: Path, counts: np.ndarray, ranks: dict, columns: dict) -> None:
-    """One row per row of counts: the counts quoted, each named column, the five ranks."""
+    """One row per row of counts: the counts quoted, each named column, the five ranks.
+
+    A column is a float64 array or a list, whose None prints as an empty
+    cell. Rows are formatted _ROW_CHUNK at a time, and only that chunk of
+    an array becomes Python floats.
+    """
     header = ",".join(["distribution", *columns, *(f"rank_{m}" for m in TABLE_MEASURES)])
-    cells = [map(_f6, column) for column in columns.values()]
-    cells += (map("{:.1f}".format, ranks[m]) for m in TABLE_MEASURES)
-    quoted = (f'"{",".join(map(str, row))}"' for row in map(np.ndarray.tolist, counts))
-    _write_text(path, chain([header], map(",".join, zip(quoted, *cells))))
+    formats = [_f6] * len(columns) + ["{:.1f}".format] * len(TABLE_MEASURES)
+    columns = [*columns.values(), *(ranks[m] for m in TABLE_MEASURES)]
+
+    def chunk_lines(start: int) -> Iterator[str]:
+        rows = slice(start, start + _ROW_CHUNK)
+        quoted = (f'"{",".join(map(str, row))}"' for row in counts[rows].tolist())
+        cells = (map(f, _python_values(column[rows])) for f, column in zip(formats, columns))
+        return map(",".join, zip(quoted, *cells))
+
+    chunks = map(chunk_lines, range(0, len(counts), _ROW_CHUNK))
+    _write_text(path, chain([header], chain.from_iterable(chunks)))
+
+
+def _python_values(part: np.ndarray | list) -> list:
+    """A slice of a column as Python values: an array's through tolist, a list's as it is."""
+    return part.tolist() if isinstance(part, np.ndarray) else part
 
 
 def write_uniform_study_csv(study: UniformStudy, out_path: str | Path) -> Path:
@@ -249,7 +269,8 @@ def emit_tables(
         for mult in dots_multipliers:
             dots = cells * mult
             study = run_uniform_study(dots, cells)
-            maxima = {m: max(values) for m, values in study.values.items()}
+            # argmax is the first of equal maxima, as the builtin max picks
+            maxima = {m: float(values[values.argmax()]) for m, values in study.values.items()}
             ratios = {
                 m: _mean(values) / maxima[m] if maxima[m] else 0.0
                 for m, values in study.values.items()

@@ -21,11 +21,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import qdiv
-from qdiv import QuantumDistribution
+from qdiv import QuantumDistribution, experiments
 from qdiv.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +64,17 @@ def test_output_bytes_match_reference(scale, step, tmp_path, monkeypatch, capsys
     for name in step.outputs:
         digests[name] = sha256((tmp_path / name).read_bytes())
     assert digests == REFERENCE[scale][step.label]
+
+
+@pytest.mark.parametrize("label", ["uniform-study", "rank"])
+def test_study_rows_chunk_boundaries(label, tmp_path, monkeypatch):
+    # 919 rows in chunks of 7 end on a part chunk of 2 rows
+    (step,) = (step for scale, step in STEPS if scale == "paper" and step.label == label)
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(experiments, "_ROW_CHUNK", 7):
+        assert main(list(step.argv)) == 0
+    digests = {name: sha256((tmp_path / name).read_bytes()) for name in step.outputs}
+    assert digests == {name: REFERENCE["paper"][label][name] for name in step.outputs}
 
 
 def test_paper_pairwise_bytes_match_reference(pairwise_15_5):
