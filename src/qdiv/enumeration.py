@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .distributions import OrderedQuantumDistribution, QuantumDistribution
-from .errors import CELLS_BUDGET, COUNT_BUDGET, INT64_DOTS_BUDGET, InvalidSpec, check_budget
+from .errors import CELLS_BUDGET, COUNT_BUDGET, InvalidSpec, check_budget
 
 
 def _check(total: int, cells: int) -> None:
@@ -123,12 +123,10 @@ def _partition_matrix(total: int, cells: int) -> np.ndarray:
     cells left), the smallest that can still carry the rest, and the last
     part is what is left. Every partial row so extends to at least one
     full row, so no column is longer than the result. The parent index of
-    each part rebuilds the rows at the end. A total past INT64_DOTS_BUDGET
-    raises BudgetExceeded, as measures() does.
+    each part rebuilds the rows at the end. Its caller, the uniform study,
+    checks cells against CELLS_BUDGET and total against INT64_DOTS_BUDGET.
     """
     _check(total, cells)
-    check_budget(cells, CELLS_BUDGET, "cells")
-    check_budget(total, INT64_DOTS_BUDGET, "dots")
     left = np.array([total], np.int64)
     cap = left - cells + 1
     parts, parents = [], []

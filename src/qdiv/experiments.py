@@ -12,7 +12,7 @@ loop, divergence._measure_blocks, which scores whole index_p rows, up to
 2**16 pairs, at a time: _pairrows writes each block (its docstring has
 the format) and a stats.ColumnSummary folds it into the summary's moments,
 maxima and distinct values. So the sweep's memory does not grow with the
-pair count; PairwiseResult.values scores the whole grid again when read.
+pair count, and each pair is scored once.
 
 The uniform study enumerates straight into the kernel's (distributions,
 cells) int64 count matrix (enumeration._partition_matrix) and keeps it;
@@ -33,8 +33,7 @@ matching the hellinger() measure itself.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -45,6 +44,8 @@ from ._pairrows import write_pair_rows
 from .divergence import MEASURE_LABELS, _measure_blocks, measures
 from .enumeration import _check, _compositions, _partition_matrix, count_ordered, count_unordered
 from .errors import (
+    CELLS_BUDGET,
+    INT64_DOTS_BUDGET,
     PAIR_BUDGET,
     STUDY_BUDGET,
     DegenerateInput,
@@ -86,11 +87,9 @@ class UniformStudy:
 class PairwiseResult:
     """Where a pairwise sweep landed and its companion statistics.
 
-    counts holds the swept distributions' multiplicities, one row each in
-    enumeration order. values maps each measure to its full N*N column in
-    row-major pair order. The sweep holds one block of those columns at a
-    time, so values is computed on first read, by the kernel on the whole
-    grid, and kept; its bits equal the blocks' that were written.
+    The values are in the CSV only; the sweep holds one block at a time.
+    measures(counts, counts, total) on the enumerated multiplicities gives
+    the whole grid bit for bit, with hellinger squared.
     """
 
     rows_written: int
@@ -98,12 +97,6 @@ class PairwiseResult:
     gaps: dict[str, GapStats]
     out_path: Path
     summary_path: Path
-    counts: np.ndarray = field(repr=False)
-
-    @cached_property
-    def values(self) -> dict[str, np.ndarray]:
-        total = sum(self.counts[0].tolist())
-        return dict(zip(MEASURE_LABELS, _pair_columns(measures(self.counts, self.counts, total))))
 
 
 @dataclass
@@ -136,12 +129,6 @@ def _write_text(path: Path, lines: Iterable[str]) -> None:
         fh.writelines(map("{}\n".format, lines))
 
 
-def _pair_columns(values: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """measures() values as MEASURE_LABELS' columns, row-major; hellinger unsquared in place."""
-    np.sqrt(values["hellinger_squared"], out=values["hellinger_squared"])
-    return [values[m].ravel() for m in ("kl", "kn", "jsd", "hellinger_squared", "jaccard")]
-
-
 def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> PairwiseResult:
     """All ordered pairs of unordered distributions, all five measures.
 
@@ -162,7 +149,9 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     with open(out_path, "wb") as fh:
         fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")
         for first, values in _measure_blocks(counts, counts, total):
-            columns = _pair_columns(values)
+            squared = values.pop("hellinger_squared")
+            values["hellinger"] = np.sqrt(squared, out=squared)  # unsquared in place
+            columns = [values[m].ravel() for m in MEASURE_LABELS]  # row-major
             write_pair_rows(fh, count, columns, first)
             summary.add(columns)
 
@@ -182,14 +171,17 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
         lines.append(f"mean_over_max,{m},,{_f6(g.mean_over_max)}")
     _write_text(summary_path, lines)
 
-    return PairwiseResult(
-        rows_written=pairs,
-        correlations=correlations,
-        gaps=gaps,
-        out_path=out_path,
-        summary_path=summary_path,
-        counts=counts,
-    )
+    return PairwiseResult(pairs, correlations, gaps, out_path, summary_path)
+
+
+def _check_study(total: int, cells: int) -> None:
+    """Every check run_uniform_study makes before it enumerates, in its order."""
+    _check(total, cells)  # raises InvalidSpec before cells divides anything
+    if total % cells != 0:
+        raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
+    check_budget(count_ordered(total, cells) * cells, STUDY_BUDGET, "multiplicities")
+    check_budget(cells, CELLS_BUDGET, "cells")
+    check_budget(total, INT64_DOTS_BUDGET, "dots")  # _partition_matrix's int64 counts
 
 
 def run_uniform_study(total: int, cells: int) -> UniformStudy:
@@ -201,10 +193,7 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     when total passes INT64_DOTS_BUDGET. The study keeps the enumerated
     matrix that the kernel scored.
     """
-    _check(total, cells)  # raises InvalidSpec before cells divides anything
-    if total % cells != 0:
-        raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
-    check_budget(count_ordered(total, cells) * cells, STUDY_BUDGET, "multiplicities")
+    _check_study(total, cells)
     counts = _partition_matrix(total, cells)
     kernel = measures(counts, [(total // cells,) * cells], total)
     kernel["hellinger"] = kernel.pop("hellinger_squared")
@@ -255,29 +244,30 @@ def emit_tables(
 
     The mean includes the uniform distribution's own all-zero row. Table 2
     gains a final average row across all (cells, dots) experiments. Returns
-    the paths of both tables.
+    the paths of both tables. Every domain is checked before any is
+    scored or out_dir is made.
     """
     if not cells_range or not dots_multipliers:
         raise InvalidSpec("tables need at least one cell count and one multiplier")
+    domains = [(cells, cells * mult) for cells in cells_range for mult in dots_multipliers]
+    for cells, dots in domains:
+        _check_study(dots, cells)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = "cells,dots," + ",".join(TABLE_MEASURES)
-    t1_lines = [header]
-    t2_lines = [header]
+    t1_lines, t2_lines = [header], [header]
     all_ratios = []
-    for cells in cells_range:
-        for mult in dots_multipliers:
-            dots = cells * mult
-            study = run_uniform_study(dots, cells)
-            # argmax is the first of equal maxima, as the builtin max picks
-            maxima = {m: float(values[values.argmax()]) for m, values in study.values.items()}
-            ratios = {
-                m: _mean(values) / maxima[m] if maxima[m] else 0.0
-                for m, values in study.values.items()
-            }
-            all_ratios.append(ratios)
-            t1_lines.append(f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES))
-            t2_lines.append(f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES))
+    for cells, dots in domains:
+        study = run_uniform_study(dots, cells)
+        # argmax is the first of equal maxima, as the builtin max picks
+        maxima = {m: float(values[values.argmax()]) for m, values in study.values.items()}
+        ratios = {
+            m: _mean(values) / maxima[m] if maxima[m] else 0.0
+            for m, values in study.values.items()
+        }
+        all_ratios.append(ratios)
+        t1_lines.append(f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES))
+        t2_lines.append(f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES))
     averages = (_mean([r[m] for r in all_ratios]) for m in TABLE_MEASURES)
     t2_lines.append("avg,," + ",".join(map(_f6, averages)))
     table1, table2 = out_dir / "table1.csv", out_dir / "table2.csv"

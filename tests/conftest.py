@@ -1,8 +1,15 @@
 import csv
 
+import numpy as np
 import pytest
 
-from qdiv import emit_tables, run_pairwise_experiment
+from qdiv import (
+    MEASURE_LABELS,
+    emit_tables,
+    enumerate_unordered,
+    measures,
+    run_pairwise_experiment,
+)
 
 
 @pytest.fixture(scope="session")
@@ -10,6 +17,23 @@ def pairwise_15_5(tmp_path_factory):
     """Full all-pairs sweep on the 1001-distribution domain."""
     out = tmp_path_factory.mktemp("pairwise") / "pairs_15_5.csv"
     return run_pairwise_experiment(15, 5, out)
+
+
+@pytest.fixture(scope="session")
+def pairwise_grid():
+    """A function of (total, cells) that scores every ordered pair with one
+    measures() call on the enumerate_unordered counts, and returns the
+    sweep's five columns: keyed by MEASURE_LABELS, row-major in pair order,
+    hellinger unsquared.
+    """
+
+    def grid(total, cells):
+        counts = [d.multiplicities for d in enumerate_unordered(total, cells)]
+        values = measures(counts, counts, total)
+        values["hellinger"] = np.sqrt(values.pop("hellinger_squared"))
+        return {m: values[m].ravel() for m in MEASURE_LABELS}
+
+    return grid
 
 
 @pytest.fixture(scope="session")

@@ -246,9 +246,9 @@ def test_value_spread_reproduction(pairwise_15_5):
     assert 5e-4 / 3 <= kn_gaps.sd_gap <= 5e-4 * 3
 
 
-def test_invariant_suite(pairwise_15_5, tmp_path):
+def test_invariant_suite(pairwise_15_5, pairwise_grid, tmp_path):
     # bounds on every pair of the reference domain, float-rounding slack only
-    values = pairwise_15_5.values
+    values = pairwise_grid(15, 5)
     for name in ("kn", "jsd", "hellinger"):
         assert float(values[name].min()) >= -1e-12
         assert float(values[name].max()) <= 1.0 + 1e-12

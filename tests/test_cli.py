@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from qdiv import (
     make_comparable,
     parse_distribution,
 )
+from qdiv import experiments
 from qdiv.cli import main
 
 
@@ -256,6 +258,30 @@ class TestExperimentCommands:
         code, _, err = run(capsys, command, *argv)
         assert code == 2
         assert len(err.splitlines()) == 1 and "budget" in err
+
+    def test_tables_invalid_cells_make_no_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "d"
+        code, _, err = run(capsys, "tables", "--cells", "0", "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == "error: need at least one cell, got 0\n"
+        assert not out_dir.exists()
+
+    def test_tables_check_every_domain_first(self, capsys, tmp_path):
+        # cells 42 at 84 dots is the first of 55 domains past STUDY_BUDGET;
+        # the 36 before it are not scored
+        out_dir = tmp_path / "d"
+        with mock.patch.object(experiments, "run_uniform_study") as study:
+            code, _, err = run(
+                capsys,
+                "tables",
+                "--cells", "6..60",
+                "--multipliers", "2",
+                "--out-dir", str(out_dir),
+            )
+        assert code == 2
+        assert err == "error: 2233308 multiplicities exceed the budget of 2000000\n"
+        study.assert_not_called()
+        assert not out_dir.exists()
 
     def test_uniform_study_indivisible_exits_one(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -13,7 +14,9 @@ from qdiv import (
     MEASURE_LABELS,
     BudgetExceeded,
     NonUniformCapable,
+    PairwiseResult,
     QuantumDistribution,
+    count_unordered,
     distribution_properties,
     emit_tables,
     enumerate_ordered,
@@ -43,6 +46,16 @@ def read_lines(path):
     assert "\r" not in text
     assert text.endswith("\n")
     return text[:-1].split("\n")
+
+
+def grid_lines(values):
+    """The pairwise CSV's lines as str.format prints a pairwise_grid's columns."""
+    count = math.isqrt(len(values["kl"]))
+    line = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
+    columns = [values[m].tolist() for m in MEASURE_LABELS]
+    return [PAIRWISE_HEADER] + [
+        line(*divmod(k, count), *row) for k, row in enumerate(zip(*columns))
+    ]
 
 
 class TestPairwise:
@@ -110,29 +123,41 @@ class TestPairwise:
         assert len([l for l in lines if l.startswith("pearson")]) == 10
         assert ("kl", "kn") in result.correlations
 
-    def test_kept_values_are_bounded(self, tmp_path):
-        result = run_pairwise_experiment(9, 4, tmp_path / "p.csv")
-        assert set(result.values) == {"kl", "kn", "jsd", "hellinger", "jaccard"}
-        for column in result.values.values():
+    def test_result_fields(self):
+        # the values live in the CSV only; measures() gives the grid
+        names = [f.name for f in dataclasses.fields(PairwiseResult)]
+        assert names == ["rows_written", "correlations", "gaps", "out_path", "summary_path"]
+
+    def test_kept_values_are_bounded(self, tmp_path, pairwise_grid):
+        out = tmp_path / "p.csv"
+        result = run_pairwise_experiment(9, 4, out)
+        values = pairwise_grid(9, 4)
+        assert set(values) == {"kl", "kn", "jsd", "hellinger", "jaccard"}
+        for column in values.values():
             assert column.shape == (result.rows_written,)
-        assert float(result.values["kn"].max()) <= 1.0 + 1e-12
-        assert float(result.values["kl"].min()) == 0.0
+        assert float(values["kn"].max()) <= 1.0 + 1e-12
+        assert float(values["kl"].min()) == 0.0
+        assert read_lines(out) == grid_lines(values)
 
     @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8)])
-    def test_kept_values_equal_scalar_measures(self, tmp_path, total, cells):
+    def test_kept_values_equal_scalar_measures(self, tmp_path, pairwise_grid, total, cells):
         # bitwise: at 8 cells and more, a reordered cell sum would show
-        result = run_pairwise_experiment(total, cells, tmp_path / "p.csv")
+        out = tmp_path / "p.csv"
+        run_pairwise_experiment(total, cells, out)
+        values = pairwise_grid(total, cells)
         dists = list(enumerate_unordered(total, cells))
         scalar = {"kl": kl, "kn": kn, "jsd": jsd, "hellinger": hellinger, "jaccard": jaccard_distance}
         for name, fn in scalar.items():
             expected = [fn(p, q) for p in dists for q in dists]
-            assert result.values[name].tolist() == expected, name
+            assert values[name].tolist() == expected, name
+        assert read_lines(out) == grid_lines(values)
 
     @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8)])
-    def test_correlations_equal_pearson(self, tmp_path, total, cells):
+    def test_correlations_equal_pearson(self, tmp_path, pairwise_grid, total, cells):
         result = run_pairwise_experiment(total, cells, tmp_path / "p.csv")
+        values = pairwise_grid(total, cells)
         expected = {
-            (a, b): pearson(result.values[a], result.values[b])
+            (a, b): pearson(values[a], values[b])
             for i, a in enumerate(MEASURE_LABELS)
             for b in MEASURE_LABELS[i + 1 :]
         }
@@ -145,31 +170,30 @@ class TestPairwise:
         assert lines[1] == "0,0,0.000000,0.000000,0.000000,0.000000,0.000000"
         assert result.correlations == {}
 
-    def test_near_half_cells_print_as_str_format(self, tmp_path):
+    def test_near_half_cells_print_as_str_format(self, tmp_path, pairwise_grid):
         # 47/2 holds jsd cells within 1e-6 of a rounding half, which take the
         # str.format path; every row must read as str.format would print it
         out = tmp_path / "pairs.csv"
         result = run_pairwise_experiment(47, 2, out)
-        scaled = result.values["jsd"] * 1e6
+        values = pairwise_grid(47, 2)
+        scaled = values["jsd"] * 1e6
         assert (np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-6).sum() == 4
-        line = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}".format
-        columns = [result.values[m].tolist() for m in MEASURE_LABELS]
-        expected = [PAIRWISE_HEADER] + [
-            line(*divmod(k, 46), *row) for k, row in enumerate(zip(*columns))
-        ]
         assert result.rows_written == 46 * 46
-        assert read_lines(out) == expected
+        assert read_lines(out) == grid_lines(values)
 
 
 
 class TestSweepBlocks:
     @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8), (47, 2)])
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_bytes_do_not_depend_on_the_block(self, tmp_path, total, cells, rows):
+    def test_bytes_do_not_depend_on_the_block(
+        self, tmp_path, pairwise_grid, total, cells, rows
+    ):
         # blocks of one or three index_p rows; at one, 47/2's str.format rows
         # each start a block
         default = run_pairwise_experiment(total, cells, tmp_path / "default.csv")
-        count = len(default.counts)
+        count = count_unordered(total, cells)
+        values = pairwise_grid(total, cells)
         fold = mock.patch.object(ColumnSummary, "add", autospec=True, side_effect=ColumnSummary.add)
         with mock.patch.object(divergence, "_BLOCK", rows * count), fold as add:
             blocked = run_pairwise_experiment(total, cells, tmp_path / "blocked.csv")
@@ -178,7 +202,7 @@ class TestSweepBlocks:
         assert blocked.summary_path.read_bytes() == default.summary_path.read_bytes()
         assert blocked.correlations.keys() == default.correlations.keys()
         for (a, b), rho in blocked.correlations.items():
-            assert rho == pytest.approx(pearson(blocked.values[a], blocked.values[b]), rel=1e-12)
+            assert rho == pytest.approx(pearson(values[a], values[b]), rel=1e-12)
 
     def test_counts_are_prepared_once(self, tmp_path):
         # 40 blocks of three index_p rows at 11/8 share one check and one

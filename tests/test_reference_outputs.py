@@ -54,6 +54,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def file_sha256(path: Path) -> str:
+    """A file's sha256, read 1 MiB at a time (hashlib.file_digest needs 3.11)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for piece in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(piece)
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize(
     "scale, step", STEPS, ids=[f"{scale}-{step.label}" for scale, step in STEPS]
 )
@@ -83,8 +92,7 @@ def test_paper_pairwise_bytes_match_reference(pairwise_15_5):
         (pairwise_15_5.out_path, "pairwise.csv"),
         (pairwise_15_5.summary_path, "pairwise_summary.csv"),
     ):
-        with open(path, "rb") as fh:
-            assert hashlib.file_digest(fh, "sha256").hexdigest() == expected[name], name
+        assert file_sha256(path) == expected[name], name
 
 
 # Each CSV the battery writes, and the paper-scale benchmark output that has
@@ -112,9 +120,7 @@ def test_reproduce_script_bytes_match_reference(tmp_path):
     assert tables in proc.stdout.splitlines()
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(BATTERY)
     for name, (label, output) in BATTERY.items():
-        with open(tmp_path / name, "rb") as fh:
-            digest = hashlib.file_digest(fh, "sha256").hexdigest()
-        assert digest == REFERENCE["paper"][label][output], name
+        assert file_sha256(tmp_path / name) == REFERENCE["paper"][label][output], name
 
 
 # The benchmark's hashes cover the study at 32/8 only (919 rows, 8 cells).
