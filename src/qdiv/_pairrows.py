@@ -5,13 +5,13 @@ The rows are those of "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\\n" for every
 For one index_p, the index_q values fall into at most four runs of equal
 digit count (0-9, 10-99, 100-999, 1000 up), and while every value prints as
 d.dddddd, all rows of one run have the same width. A call gets one block of
-the kernel's one block loop (divergence._measure_blocks) and cuts it into
-ceil(pairs / PAIR_BLOCK) parts of whole index_p rows whose row counts differ
-by one at most; where an index_p width changes inside a part, it is cut
-there too. A part is one uint8 buffer of shape (index_p rows, bytes per
-index_p row); each index_q run is a strided view of it, a slab of shape
-(index_p rows, run length, row width). The buffer goes to the file as it
-is, with no mask and no gather.
+whole index_p rows from the kernel's one block loop (divergence._measure_blocks,
+whose _BLOCK of 16,384 pairs was measured faster than 8,192 and leaner than
+32,768) and writes it whole, one part per run of equal index_p width. A
+part is one uint8 buffer of shape (index_p rows, bytes per index_p row);
+each index_q run is a strided view of it, a slab of shape (index_p rows,
+run length, row width). The slabs are filled one measure column at a
+time, and the buffer goes to the file as it is, with no mask and no gather.
 
 The "{i}," and "{j}," prefixes are copied from byte tables of the indices,
 broadcast along the other axis. A value is rounded to micro-units with
@@ -27,7 +27,7 @@ result equals format(v, ".6f") (correctly rounded from the exact binary
 value) wherever v * 1e6 lies more than _HALF_WINDOW from a half. A row with a
 cell nearer a half, negative (-0.0 too), not finite or rounding to 10 or
 more is formatted by _PAIR_ROW instead; each run of such rows is formatted
-as one string and written between the parts of the buffer around it.
+as one string and written between the pieces of the buffer around it.
 
 The module is private to the package: experiments calls it for the one CSV
 whose row count is quadratic.
@@ -40,7 +40,6 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-PAIR_BLOCK = 16384  # measured: faster than 8,192, less memory than 32,768
 _HALF_WINDOW = 1e-6
 _PAIR_ROW = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\n".format
 _VALUE_WIDTH = len("0.000000,")
@@ -79,27 +78,31 @@ def _write_block(fh, columns, words, runs, start, offset, prefix) -> None:
     Pair k of columns is pair k + offset of the sweep.
     """
     count, values = runs[-1][1], len(columns) * _VALUE_WIDTH
-    cells = [_digits(c[start : start + len(prefix) * count].reshape(-1, count), *w)
-             for c, w in zip(columns, words)]
     slabs, width = [], 0  # (index_q run, its row width, its offset in an index_p row)
     for lo, hi, q_index in runs:
         row = prefix.shape[1] + q_index.shape[1] + values
         slabs.append((lo, hi, q_index, row, width))
         width += (hi - lo) * row
     rows = np.empty((len(prefix), width), np.uint8)
+    fields = []  # (index_q run, its slab's value bytes)
     for lo, hi, q_index, row, at in slabs:
         slab = rows[:, at : at + (hi - lo) * row].reshape(len(prefix), hi - lo, row)
-        col = row - values
         slab[:, :, : prefix.shape[1]] = prefix[:, None]
-        slab[:, :, prefix.shape[1] : col] = q_index
-        for _, unit, first, second in cells:
-            slab[:, :, col] = unit[:, lo:hi]
-            slab[:, :, col + 1 : col + 5].view("<u4")[..., 0] = first[:, lo:hi]
-            slab[:, :, col + 5 : col + 9].view("<u4")[..., 0] = second[:, lo:hi]
-            col += _VALUE_WIDTH
-    ok = np.logical_and.reduce([cell[0] for cell in cells]).ravel()
+        slab[:, :, prefix.shape[1] : row - values] = q_index
+        fields.append((lo, hi, slab[:, :, row - values :]))
+    ok = True
+    # one column's digits at a time, dropped before the next column's are made
+    for k, (column, w) in enumerate(zip(columns, words)):
+        cells = column[start : start + len(prefix) * count].reshape(-1, count)
+        good, unit, first, second = _digits(cells, *w)
+        ok = ok & good
+        col = k * _VALUE_WIDTH
+        for lo, hi, field in fields:
+            field[:, :, col] = unit[:, lo:hi]
+            field[:, :, col + 1 : col + 5].view("<u4")[..., 0] = first[:, lo:hi]
+            field[:, :, col + 5 : col + 9].view("<u4")[..., 0] = second[:, lo:hi]
     # rows r0 <= r < r1 go to _PAIR_ROW; row r starts at r // count * width + q_start[r % count]
-    edges = np.flatnonzero(np.diff(np.r_[True, ok, True])).tolist()
+    edges = np.flatnonzero(np.diff(np.r_[True, ok.ravel(), True])).tolist()
     q_start = np.concatenate([at + row * np.arange(hi - lo) for lo, hi, _, row, at in slabs])
     text, at = rows.reshape(-1), 0
     for r0, r1 in zip(edges[::2], edges[1::2]):
@@ -111,25 +114,19 @@ def _write_block(fh, columns, words, runs, start, offset, prefix) -> None:
     fh.write(text[at:])
 
 
-def write_pair_rows(
-    fh: BinaryIO, count: int, columns: Sequence[np.ndarray], first: int = 0
-) -> None:
+def write_pair_rows(fh: BinaryIO, count: int, columns: Sequence[np.ndarray], first: int) -> None:
     """The CSV rows of whole index_p rows of a count x count sweep, to a binary file.
 
     columns are the measure columns of index_p rows first, first + 1, ...
-    in row-major pair order, all count * count pairs by default; the bytes
-    equal _PAIR_ROW's for every pair.
+    in row-major pair order; the bytes equal _PAIR_ROW's for every pair.
     """
     dot = _words(".{:03d}")
     words = [(dot, _words("{:03d},"))] * (len(columns) - 1) + [(dot, _words("{:03d}\n"))]
     bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
     runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    rows = len(columns[0]) // count
-    parts = min(rows, -(-rows * count // PAIR_BLOCK))
-    cuts = [first + k * rows // parts for k in range(parts + 1)]
+    end = first + len(columns[0]) // count
     for lo, hi, p_index in runs:
-        for i, j in zip(cuts, cuts[1:]):
-            i, j = max(i, lo), min(j, hi)
-            if i < j:
-                prefix = p_index[i - lo : j - lo]
-                _write_block(fh, columns, words, runs, (i - first) * count, first * count, prefix)
+        i, j = max(first, lo), min(end, hi)
+        if i < j:
+            _write_block(fh, columns, words, runs, (i - first) * count, first * count,
+                         p_index[i - lo : j - lo])

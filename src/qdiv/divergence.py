@@ -24,7 +24,7 @@ from .distributions import QuantumDistribution
 from .errors import INT64_DOTS_BUDGET, DomainMismatch, QuantumMismatch, check_budget
 
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
-_BLOCK = 1 << 16  # entries a _measure_blocks block holds, or one counts_p row if that is longer
+_BLOCK = 1 << 14  # entries a block holds, or one counts_p row if longer; see _pairrows
 _TABLE_TOP = 28  # largest top = M - n + 1 whose three term tables take about 1 ms to build
 
 
@@ -239,7 +239,8 @@ def _measure_blocks(counts_p, counts_q, total: int):
         ):
             raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
     block = total - n + 1
-    kp_values = _distinct(cp.flatten())
+    # a column at a time, so no copy of counts_p is made whole
+    kp_values = _distinct(np.concatenate([_distinct(cp[:, c].copy()) for c in range(n)]))
     kq_values = _distinct(np.append(cq, (1, block)))
     # flat tables: the term of kp_values[i] against kq_values[j] sits at i * width + j
     width = len(kq_values)
@@ -247,27 +248,26 @@ def _measure_blocks(counts_p, counts_q, total: int):
         np.array([term(kp, kq, total) for kp in kp_values.tolist() for kq in kq_values.tolist()])
         for term in (_kl_term, _jsd_term, _hellinger_term)
     )
-    pi = np.searchsorted(kp_values, cp)
-    pi *= width
-    qi = np.searchsorted(kq_values, cq)
-    # kl against build_maximizer's opponent: block on the first minimal cell, 1 elsewhere
-    low, (one, top) = cp.argmin(axis=1), np.searchsorted(kq_values, (1, block))
-    kl_max = sum(kl_t.take(pi[:, c] + np.where(low == c, top, one)) for c in range(n))
-    kl_max[kl_max == 0.0] = 1.0  # one distribution (total == cells or cells == 1): kl 0
+    qi, (one, top) = np.searchsorted(kq_values, cq), np.searchsorted(kq_values, (1, block))
     step = min(a, max(1, _BLOCK // len(cq)))
     buffers = [np.empty((step, len(cq)), dtype) for dtype in [float] * 6 + [np.int64]]
     for start in range(0, a, step):
         rows = slice(start, start + step)
         kl, kn, jsd, he, jaccard, cell, at = (b[: a - start] for b in buffers)
         kl[:] = jsd[:] = he[:] = 0.0  # each sum adds cell 0, 1, ... to 0.0, as the loops do
+        # kl against build_maximizer's opponent: block on the first minimal cell, 1 elsewhere
+        low, kl_max = cp[rows].argmin(axis=1), 0.0
         for c in range(n):
-            np.add(pi[rows, c, None], qi[:, c], out=at)
+            pi = np.searchsorted(kp_values, cp[rows, c]) * width
+            kl_max = kl_max + kl_t.take(pi + np.where(low == c, top, one))
+            np.add(pi[:, None], qi[:, c], out=at)
             for table, acc in ((kl_t, kl), (jsd_t, jsd), (he_t, he)):
                 # every index is in range; "clip" skips the copy of out that "raise" makes
                 acc += np.take(table, at, out=cell, mode="clip")
+        kl_max[kl_max == 0.0] = 1.0  # one distribution (total == cells or cells == 1): kl 0
         jsd *= 0.5
         he *= 0.5
-        np.divide(kl, kl_max[rows, None], out=kn)
+        np.divide(kl, kl_max[:, None], out=kn)
         # jaccard, 1 - mins / (2 * total - mins), from the sum of minima in at
         np.minimum(cp[rows, 0, None], cq[:, 0], out=at)
         for c in range(1, n):

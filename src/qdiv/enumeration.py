@@ -118,34 +118,32 @@ def _partition_matrix(total: int, cells: int) -> np.ndarray:
     """_partitions(total, cells) as one (count_ordered, cells) int64 array.
 
     The rows come in the same lex-descending order, built one column at a
-    time: each partial row (dots left, cells left, cap) expands into its
-    next parts from min(cap, left - cells left + 1) down to ceil(left /
-    cells left), the smallest that can still carry the rest, and the last
-    part is what is left. Every partial row so extends to at least one
-    full row, so no column is longer than the result. The parent index of
-    each part rebuilds the rows at the end. Its caller, the uniform study,
-    checks cells against CELLS_BUDGET and total against INT64_DOTS_BUDGET.
+    time in the leading rows of the result: each partial row (dots left,
+    cells left, cap) expands into its next parts from min(cap, left - cells
+    left + 1) down to ceil(left / cells left), the smallest that can still
+    carry the rest, and the last part is what is left. Every partial row so
+    extends to at least one full row, so no column is longer than the
+    result. Each new partial row copies its parent's earlier parts. Its
+    caller, the uniform study, checks cells against CELLS_BUDGET and total
+    against INT64_DOTS_BUDGET.
     """
-    _check(total, cells)
+    matrix = np.empty((count_ordered(total, cells), cells), np.int64)  # checks the domain
     left = np.array([total], np.int64)
     cap = left - cells + 1
-    parts, parents = [], []
-    for c in range(cells, 1, -1):
+    for d, c in enumerate(range(cells, 1, -1)):
         hi = np.minimum(cap, left - (c - 1))
         sizes = hi - -(-left // c) + 1
         # row k of the new column counts down from hi of its parent
         step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         parent = np.repeat(np.arange(len(left)), sizes)
+        # 1,024 rows at a time, bottom up: a parent row sits at or above its children
+        for end in range(len(parent), 0, -1024):
+            rows = slice(max(0, end - 1024), end)
+            matrix[rows, :d] = matrix[parent[rows], :d]
         cap = hi[parent] - step
         left = left[parent] - cap
-        parts.append(cap)
-        parents.append(parent)
-    matrix = np.empty((len(left), cells), np.int64)
+        matrix[: len(parent), d] = cap
     matrix[:, -1] = left
-    row = np.arange(len(left))
-    for c in range(cells - 2, -1, -1):
-        matrix[:, c] = parts[c][row]
-        row = parents[c][row]
     return matrix
 
 

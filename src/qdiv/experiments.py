@@ -9,15 +9,15 @@ formatted columns into lines, _ROW_CHUNK rows at a time.
 
 The pairwise sweep, a million pairs at 15/5, walks the kernel's one block
 loop, divergence._measure_blocks, which scores whole index_p rows, up to
-2**16 pairs, at a time: _pairrows writes each block (its docstring has
-the format) and a stats.ColumnSummary folds it into the summary's moments,
-maxima and distinct values. So the sweep's memory does not grow with the
-pair count, and each pair is scored once.
+2**14 pairs, at a time: _pairrows writes each block whole (its docstring
+has the format) and a stats.ColumnSummary folds it into the summary's
+moments, maxima and distinct values. So the sweep's memory does not grow
+with the pair count, and each pair is scored once.
 
 The uniform study enumerates straight into the kernel's (distributions,
-cells) int64 count matrix (enumeration._partition_matrix) and keeps it;
-the pairwise sweep stacks the multiplicity tuples of the _compositions
-successor generator into one. No writer builds a distribution: the study
+cells) int64 count matrix (enumeration._partition_matrix fills it in place)
+and keeps it; the pairwise sweep stacks the multiplicity tuples of the
+_compositions successor generator into one. No writer builds a distribution: the study
 CSV's shape properties come from the matrix, through stats.property_columns.
 The study's measure and rank columns stay the kernel's float64 arrays up to
 the writer, which turns one chunk of rows at a time into Python values, and
@@ -268,6 +268,7 @@ def emit_tables(
         all_ratios.append(ratios)
         t1_lines.append(f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES))
         t2_lines.append(f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES))
+        del study  # before the next one is built
     averages = (_mean([r[m] for r in all_ratios]) for m in TABLE_MEASURES)
     t2_lines.append("avg,," + ",".join(map(_f6, averages)))
     table1, table2 = out_dir / "table1.csv", out_dir / "table2.csv"

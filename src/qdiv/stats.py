@@ -116,16 +116,13 @@ def pearson_pairs(columns: Mapping[str, np.ndarray]) -> dict[tuple[str, str], fl
 
 
 def _moments(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's .mean(), and np.sum of each pair's centred products in two buffers, no BLAS."""
+    """Each column's .mean(), and np.sum of each pair's centred products, no BLAS."""
     means = np.array([c.mean() for c in columns])
-    comoments = np.empty((len(columns), len(columns)))
-    xc, yc = np.empty(len(columns[0])), np.empty(len(columns[0]))
-    for i, a in enumerate(columns):
-        np.subtract(a, means[i], out=xc)
-        comoments[i, i] = np.sum(np.multiply(xc, xc, out=yc))
-        for j in range(i + 1, len(columns)):
-            np.subtract(columns[j], means[j], out=yc)
-            comoments[i, j] = comoments[j, i] = np.sum(np.multiply(xc, yc, out=yc))
+    centred = [np.subtract(c, m) for c, m in zip(columns, means)]  # once a column
+    comoments, product = np.empty((len(columns), len(columns))), np.empty(len(columns[0]))
+    for i, x in enumerate(centred):
+        for j in range(i, len(columns)):
+            comoments[i, j] = comoments[j, i] = np.sum(np.multiply(x, centred[j], out=product))
     return means, comoments
 
 
@@ -150,7 +147,8 @@ class ColumnSummary:
     as they are, so a one-block fold equals the whole-column formulas bit
     for bit. Each later block merges in with the pairwise update of Chan,
     Golub and LeVeque (1983), which may move the last bits. Maxima merge by
-    max and distinct values by union, exactly.
+    max and distinct values by union, exactly, once the blocks' waiting
+    distinct values are as many as the merged ones, not at every block.
     """
 
     def __init__(self, names: Iterable[str]):
@@ -160,7 +158,14 @@ class ColumnSummary:
         self.means = np.zeros(k)
         self.comoments = np.zeros((k, k))
         self.maxima = np.full(k, -math.inf)
-        self.distinct = [np.zeros(0)] * k
+        self._sets = [[np.zeros(0)] for _ in range(k)]  # each: merged, then waiting values
+
+    @property
+    def distinct(self) -> list[np.ndarray]:
+        """Each column's distinct values rounded to 12 decimals, ascending."""
+        for sets in self._sets:
+            sets[:] = [_distinct(np.concatenate(sets))]
+        return [sets[0] for sets in self._sets]
 
     def add(self, columns: Sequence[np.ndarray]) -> None:
         """Fold in one block of rows: columns[i] holds the block's values of names[i]."""
@@ -169,11 +174,10 @@ class ColumnSummary:
             return
         means, comoments = _moments(columns)
         rounded = np.empty(size)  # each column's rounded copy, which _distinct sorts in place
-        for i, a in enumerate(columns):
-            block = _distinct(np.round(a, 12, out=rounded))
-            if self.count:
-                block = _distinct(np.concatenate([self.distinct[i], block]))
-            self.distinct[i] = block
+        for sets, a in zip(self._sets, columns):
+            sets.append(_distinct(np.round(a, 12, out=rounded)))
+            if sum(map(len, sets)) >= 2 * len(sets[0]):
+                sets[:] = [_distinct(np.concatenate(sets))]
         np.maximum(self.maxima, [c.max() for c in columns], out=self.maxima)
         if self.count:
             n = self.count + size

@@ -35,7 +35,7 @@ from qdiv import (
     run_uniform_study,
     write_uniform_study_csv,
 )
-from qdiv import _pairrows, divergence, experiments
+from qdiv import _pairrows, divergence, enumeration, experiments
 from qdiv.stats import ColumnSummary
 
 PAIRWISE_HEADER = "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
@@ -214,17 +214,18 @@ class TestSweepBlocks:
             run_pairwise_experiment(11, 8, tmp_path / "p.csv")
         assert counts_array.call_count == 2
 
-    @pytest.mark.parametrize("total, cells", [(14, 5), (15, 5)])
+    @pytest.mark.parametrize("total, cells", [(14, 5), (15, 5), (14, 6)])
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path, total, cells):
-        # 511,225 and 1,002,001 pairs, whose five whole float64 columns alone
-        # would take 19.5 and 38.2 MiB; one block's take 2.5 MiB
+        # 511,225, 1,002,001 and 1,656,369 pairs, whose five whole float64
+        # columns alone would take 19.5, 38.2 and 63.2 MiB; one block's take
+        # 0.6 MiB. Traced peaks 2.9, 3.1 and 3.0 MiB
         tracemalloc.start()
         try:
             run_pairwise_experiment(total, cells, tmp_path / "p.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 4 * 2**20
 
 def _near_half(units: int, micro: int, ulps: int) -> float:
     """The double nearest units.micro5, moved by ulps units in the last place."""
@@ -254,17 +255,28 @@ FORMAT_VALUES = st.one_of(
 )
 
 
-def check_pair_rows(count, block, rows):
-    """write_pair_rows on count * count rows in blocks of block, against format."""
-    columns = [np.array(column, dtype=np.float64) for column in zip(*rows)]
+def blocked_pair_rows(count, block, columns):
+    """write_pair_rows' bytes for count * count pairs, cut as a kernel block of block pairs is.
+
+    Each call gets max(1, block // count) whole index_p rows and their first
+    index_p, the last call what is left.
+    """
     fh = io.BytesIO()
-    with mock.patch.object(_pairrows, "PAIR_BLOCK", block):
-        _pairrows.write_pair_rows(fh, count, columns)
+    step = max(1, block // count)
+    for first in range(0, count, step):
+        pairs = slice(first * count, (first + step) * count)
+        _pairrows.write_pair_rows(fh, count, [c[pairs] for c in columns], first)
+    return fh.getvalue()
+
+
+def check_pair_rows(count, block, rows):
+    """blocked_pair_rows of count * count rows, against format."""
+    columns = [np.array(column, dtype=np.float64) for column in zip(*rows)]
     expected = "".join(
         f"{k // count},{k % count}," + ",".join(format(v, ".6f") for v in row) + "\n"
         for k, row in enumerate(rows)
     )
-    assert fh.getvalue().decode("ascii") == expected
+    assert blocked_pair_rows(count, block, columns).decode("ascii") == expected
 
 
 # 12.5 and 998.75 print past d.dddddd; the other values are below 10 and far
@@ -290,7 +302,7 @@ class TestPairRowFormat:
     )
     @settings(max_examples=100, deadline=None)
     def test_rows_equal_format(self, count, block, data):
-        # a few rows, cut into blocks of any size
+        # a few rows, in blocks of one index_p row up to all of them
         rows = data.draw(st.lists(
             st.tuples(*[FORMAT_VALUES] * 5), min_size=count * count, max_size=count * count
         ))
@@ -303,8 +315,9 @@ class TestPairRowFormat:
     )
     @settings(max_examples=60, deadline=None)
     def test_rows_across_index_widths(self, count, below, data):
-        # index widths change at 10 and 100, inside an index_p row and between
-        # rows; PAIR_BLOCK is below one index_p row (one row a block) or above
+        # index widths change at 10 and 100, inside an index_p row and inside
+        # or between blocks; a block is below one index_p row (one row a call)
+        # or up to four rows
         block = data.draw(st.integers(1, count - 1) if below else st.integers(count, 4 * count))
         rows = [(k / count**2 * 9.9,) * 5 for k in range(count * count)]
         # up to 30 drawn rows at drawn (index_p, index_q), among rows of digits
@@ -314,15 +327,15 @@ class TestPairRowFormat:
             rows[i * count + j] = row
         check_pair_rows(count, block, rows)
 
-    def test_kernel_block_splits_evenly(self):
-        # a 50-row kernel block at 14/6 (1,287 pairs a row, 4 parts of at most
-        # PAIR_BLOCK pairs on average) goes out as 12, 13, 12 and 13 rows
-        count, first = 1287, 100
-        columns = [np.full(50 * count, 0.25)] * 5
+    def test_kernel_block_goes_out_whole_per_index_width(self, tmp_path):
+        # 11/5 has 210 distributions, so a kernel block holds 16,384 // 210 =
+        # 78 index_p rows: rows 0-77, 78-155 and 156-209. The first block's
+        # index_p width changes at 10 and the second's at 100; each width run
+        # is one _write_block call, and nothing cuts a run
         writes = mock.patch.object(_pairrows, "_write_block", wraps=_pairrows._write_block)
         with writes as write_block:
-            _pairrows.write_pair_rows(io.BytesIO(), count, columns, first)
-        assert [len(c.args[-1]) for c in write_block.call_args_list] == [12, 13, 12, 13]
+            run_pairwise_experiment(11, 5, tmp_path / "p.csv")
+        assert [len(c.args[-1]) for c in write_block.call_args_list] == [10, 68, 22, 56, 54]
 
     @pytest.mark.parametrize(
         "block, values",
@@ -331,19 +344,16 @@ class TestPairRowFormat:
         ids=["1000", "1001", "4096", "slab-1000", "slab-1001", "slab-4096"],
     )
     def test_six_digit_indices(self, block, values):
-        # from count 1001 an index has two digit words, and blocks straddle
-        # index_p boundaries; words written right to left would clip digits.
+        # from count 1001 an index has two digit words, in calls of one and
+        # four index_p rows; words written right to left would clip digits.
         # FALLBACK_VALUES send every row to str.format, SLAB_VALUES none
         count = 1001
         columns = [np.full(count * count, v) for v in values]
-        fh = io.BytesIO()
-        with mock.patch.object(_pairrows, "PAIR_BLOCK", block):
-            _pairrows.write_pair_rows(fh, count, columns)
         tail = "," + ",".join(format(v, ".6f") for v in values) + "\n"
         index_q = [f"{j}{tail}" for j in range(count)]
         # prefix + prefix.join(index_q) is every row of one index_p
         expected = "".join(f"{i}," + f"{i},".join(index_q) for i in range(count))
-        assert fh.getvalue() == expected.encode("ascii")
+        assert blocked_pair_rows(count, block, columns) == expected.encode("ascii")
 
 
 MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
@@ -493,7 +503,7 @@ class TestReferenceUniformStudy:
     @pytest.mark.parametrize(
         "run, bound",
         [
-            (lambda out: emit_tables(range(6, 11), (2, 3, 4, 5), out), 4.6 * 2**20),
+            (lambda out: emit_tables(range(6, 11), (2, 3, 4, 5), out), 3.6 * 2**20),
             (lambda out: run_rank_comparison(40, 10, out / "r.csv"), 1.2 * 2**20),
         ],
         ids=["tables", "rank-40-10"],
@@ -502,10 +512,38 @@ class TestReferenceUniformStudy:
         # the tables' 50/10 study has 16,928 rows: five measure columns of
         # Python floats took 2.6 MiB, as float64 arrays 0.6 MiB. Traced
         # peaks, lists -> arrays: tables 4.84 -> 4.31 MiB, rank 40/10
-        # 1.48 -> 0.88 MiB
+        # 1.48 -> 0.88 MiB. The tables then let each study go before the
+        # next is built, which is built leaner (below): 3.21 MiB
         tracemalloc.start()
         try:
             run(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize(
+        "run, args, bound",
+        [
+            (enumeration._partition_matrix, lambda: (50, 10), 2.7 * 2**20),
+            (
+                divergence.measures,
+                lambda: (enumeration._partition_matrix(50, 10), [(5,) * 10], 50),
+                2.2 * 2**20,
+            ),
+            (run_uniform_study, lambda: (60, 12), 13.5 * 2**20),
+        ],
+        ids=["partition-50-10", "measures-50-10", "study-60-12"],
+    )
+    def test_study_builds_in_about_one_result(self, run, args, bound):
+        # the 50/10 matrix takes 1.29 MiB and its five measure columns
+        # 0.65 MiB; the 60/12 study 6.8 + 2.8 MiB. Traced peaks, before ->
+        # after filling the matrix in place and reading counts_p a column at
+        # a time: 3.15 -> 2.42, 2.60 -> 1.91 and 21.65 -> 11.79 MiB
+        args = args()
+        tracemalloc.start()
+        try:
+            run(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

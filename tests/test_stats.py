@@ -409,7 +409,39 @@ def split_columns(draw):
     return [np.array(c) for c in columns], [0, *sorted(cuts), size]
 
 
+@st.composite
+def many_blocks(draw):
+    """1 to 3 columns of one length, values often repeated, and cut points for up to 31 blocks."""
+    size = draw(st.integers(1, 120))
+    pool = draw(st.lists(st.floats(0, 10), min_size=1, max_size=20))
+    value = st.one_of(st.sampled_from(pool), st.floats(0, 10))
+    column = st.lists(value, min_size=size, max_size=size)
+    columns = draw(st.lists(column, min_size=1, max_size=3))
+    cuts = draw(st.lists(st.integers(1, max(1, size - 1)), max_size=30, unique=True))
+    return [np.array(c) for c in columns], sorted({0, size, *cuts})
+
+
 class TestColumnSummary:
+    @given(many_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_merge_is_exact(self, drawn):
+        # a block's distinct values wait until they are as many as the merged
+        # ones; the split fold's distinct values and gap statistics equal the
+        # one-block fold's bit for bit (mean_over_max reads the merged mean,
+        # which the test below bounds)
+        columns, edges = drawn
+        names = [f"c{k}" for k in range(len(columns))]
+        split, whole = ColumnSummary(names), ColumnSummary(names)
+        for lo, hi in zip(edges, edges[1:]):
+            split.add([c[lo:hi] for c in columns])
+        whole.add(columns)
+        assert [d.tobytes() for d in split.distinct] == [d.tobytes() for d in whole.distinct]
+        for name in names:
+            g, expected = split.gap_stats()[name], whole.gap_stats()[name]
+            assert (g.distinct_count, g.mean_gap, g.sd_gap) == (
+                expected.distinct_count, expected.mean_gap, expected.sd_gap
+            )
+
     @given(split_columns())
     @settings(max_examples=150, deadline=None)
     def test_blocks_fold_to_the_whole_columns(self, drawn):
