@@ -1,17 +1,17 @@
-"""Pairwise CSV rows from float columns, written in place as fixed-width slabs.
+"""Pairwise CSV rows from one float array, written in place as fixed-width slabs.
 
 The rows are those of "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\\n" for every
 (index_p, index_q) pair, byte for byte, without a str.format call per row.
 For one index_p, the index_q values fall into at most four runs of equal
 digit count (0-9, 10-99, 100-999, 1000 up), and while every value prints as
 d.dddddd, all rows of one run have the same width. A call gets one block of
-whole index_p rows from the kernel's one block loop (divergence._measure_blocks,
-whose _BLOCK of 16,384 pairs was measured faster than 8,192 and leaner than
-32,768) and writes it whole, one part per run of equal index_p width. A
-part is one uint8 buffer of shape (index_p rows, bytes per index_p row);
-each index_q run is a strided view of it, a slab of shape (index_p rows,
-run length, row width). The slabs are filled one measure column at a
-time, and the buffer goes to the file as it is, with no mask and no gather.
+whole index_p rows, a (measures, pairs) view of the kernel's block (see
+divergence._measure_blocks, whose _BLOCK of 16,384 pairs was measured faster
+than 8,192 and leaner than 32,768), and writes it whole, one part per run of
+equal index_p width. A part is one uint8 buffer of shape (index_p rows,
+bytes per index_p row); each index_q run is a strided view of it, a slab of
+shape (index_p rows, run length, row width). The slabs are filled a measure
+at a time, and the buffer goes to the file as it is, unmasked and ungathered.
 
 The "{i}," and "{j}," prefixes are copied from byte tables of the indices,
 broadcast along the other axis. A value is rounded to micro-units with
@@ -26,8 +26,8 @@ Below 10 the float product v * 1e6 is within 1e-9 of the exact one, so the
 result equals format(v, ".6f") (correctly rounded from the exact binary
 value) wherever v * 1e6 lies more than _HALF_WINDOW from a half. A row with a
 cell nearer a half, negative (-0.0 too), not finite or rounding to 10 or
-more is formatted by _PAIR_ROW instead; each run of such rows is formatted
-as one string and written between the pieces of the buffer around it.
+more is formatted by _PAIR_ROW instead; each run of such rows is gathered,
+formatted and written as one string between the buffer pieces around it.
 
 The module is private to the package: experiments calls it for the one CSV
 whose row count is quadratic.
@@ -36,7 +36,7 @@ whose row count is quadratic.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -108,23 +108,23 @@ def _write_block(fh, columns, words, runs, start, offset, prefix) -> None:
     for r0, r1 in zip(edges[::2], edges[1::2]):
         fh.write(text[at : r0 // count * width + q_start[r0 % count]])
         pairs = np.arange(start + r0, start + r1)
-        fields = [*np.divmod(pairs + offset, count), *(c[pairs] for c in columns)]
+        fields = [*np.divmod(pairs + offset, count), *columns[:, pairs]]
         fh.write("".join(map(_PAIR_ROW, *(f.tolist() for f in fields))).encode())
         at = r1 // count * width + q_start[r1 % count]
     fh.write(text[at:])
 
 
-def write_pair_rows(fh: BinaryIO, count: int, columns: Sequence[np.ndarray], first: int) -> None:
+def write_pair_rows(fh: BinaryIO, count: int, columns: np.ndarray, first: int) -> None:
     """The CSV rows of whole index_p rows of a count x count sweep, to a binary file.
 
-    columns are the measure columns of index_p rows first, first + 1, ...
-    in row-major pair order; the bytes equal _PAIR_ROW's for every pair.
+    columns is (measures, pairs): the measures of index_p rows first, first + 1,
+    ... in row-major pair order; the bytes equal _PAIR_ROW's for every pair.
     """
     dot = _words(".{:03d}")
     words = [(dot, _words("{:03d},"))] * (len(columns) - 1) + [(dot, _words("{:03d}\n"))]
     bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
     runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    end = first + len(columns[0]) // count
+    end = first + columns.shape[1] // count
     for lo, hi, p_index in runs:
         i, j = max(first, lo), min(end, hi)
         if i < j:

@@ -24,6 +24,7 @@ from .distributions import QuantumDistribution
 from .errors import INT64_DOTS_BUDGET, DomainMismatch, QuantumMismatch, check_budget
 
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
+_KERNEL_LABELS = ("kl", "kn", "jsd", "hellinger_squared", "jaccard")  # measures()' keys
 _BLOCK = 1 << 14  # entries a block holds, or one counts_p row if longer; see _pairrows
 _TABLE_TOP = 28  # largest top = M - n + 1 whose three term tables take about 1 ms to build
 
@@ -194,6 +195,11 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def _distinct_counts(counts: np.ndarray) -> np.ndarray:
+    """The distinct entries of a (rows, cells) matrix, ascending, one column's copy at a time."""
+    return _distinct(np.concatenate([_distinct(column.copy()) for column in counts.T]))
+
+
 def _int_array(counts) -> np.ndarray:
     """counts as an integer array, or as objects: Python ints that numpy would make floats.
 
@@ -214,8 +220,12 @@ def _counts_array(counts, total: int) -> np.ndarray:
     return np.clip(c, 0, total + 1).astype(np.int64) if c.dtype == object else c
 
 
-def _measure_blocks(counts_p, counts_q, total: int):
-    """measures() in blocks of whole counts_p rows: (first row, views of reused buffers)."""
+def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
+    """measures() in blocks of whole counts_p rows: (first row, (5, rows, b) array).
+
+    A block holds _KERNEL_LABELS in order: rows of one (5, a, b) array if
+    whole, else a view of one buffer that the next block overwrites.
+    """
     check_budget(total, INT64_DOTS_BUDGET, "dots")
     try:
         cp, cq = _counts_array(counts_p, total), _counts_array(counts_q, total)
@@ -238,24 +248,27 @@ def _measure_blocks(counts_p, counts_q, total: int):
             wraps and np.cumsum(c, 1).max() > total
         ):
             raise QuantumMismatch(f"rows must be counts >= 1 that total {total}")
-    block = total - n + 1
-    # a column at a time, so no copy of counts_p is made whole
-    kp_values = _distinct(np.concatenate([_distinct(cp[:, c].copy()) for c in range(n)]))
-    kq_values = _distinct(np.append(cq, (1, block)))
+    big = total - n + 1  # build_maximizer's count on the first minimal cell
+    kp_values = _distinct_counts(cp)  # no copy of counts_p is made whole
+    kq_values = _distinct(np.append(cq, (1, big)))
     # flat tables: the term of kp_values[i] against kq_values[j] sits at i * width + j
     width = len(kq_values)
     kl_t, jsd_t, he_t = (
         np.array([term(kp, kq, total) for kp in kp_values.tolist() for kq in kq_values.tolist()])
         for term in (_kl_term, _jsd_term, _hellinger_term)
     )
-    qi, (one, top) = np.searchsorted(kq_values, cq), np.searchsorted(kq_values, (1, block))
+    qi, (one, top) = np.searchsorted(kq_values, cq), np.searchsorted(kq_values, (1, big))
     step = min(a, max(1, _BLOCK // len(cq)))
-    buffers = [np.empty((step, len(cq)), dtype) for dtype in [float] * 6 + [np.int64]]
+    out = np.empty((5, a, len(cq))) if whole else None
+    # the five measures, unless out holds them, then the gather scratch cell
+    buffer = np.empty((1 if whole else 6, step, len(cq)))
+    index = np.empty((step, len(cq)), np.int64)
     for start in range(0, a, step):
-        rows = slice(start, start + step)
-        kl, kn, jsd, he, jaccard, cell, at = (b[: a - start] for b in buffers)
+        rows, size = slice(start, start + step), min(step, a - start)
+        block = out[:, rows] if whole else buffer[:5, :size]
+        (kl, kn, jsd, he, jaccard), cell, at = block, buffer[-1, :size], index[:size]
         kl[:] = jsd[:] = he[:] = 0.0  # each sum adds cell 0, 1, ... to 0.0, as the loops do
-        # kl against build_maximizer's opponent: block on the first minimal cell, 1 elsewhere
+        # kl against build_maximizer's opponent: big on the first minimal cell, 1 elsewhere
         low, kl_max = cp[rows].argmin(axis=1), 0.0
         for c in range(n):
             pi = np.searchsorted(kp_values, cp[rows, c]) * width
@@ -277,7 +290,7 @@ def _measure_blocks(counts_p, counts_q, total: int):
             np.subtract(1.0, np.divide(at, cell, out=cell), out=jaccard)
         else:  # divide the exact ints, as jaccard_distance does
             jaccard[:] = [[1.0 - m / (2 * total - m) for m in r] for r in at.tolist()]
-        yield start, {"kl": kl, "kn": kn, "jsd": jsd, "hellinger_squared": he, "jaccard": jaccard}
+        yield start, block
 
 
 def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
@@ -291,13 +304,9 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     the scalar functions: the same _*_term functions give each distinct
     (kp, kq) term, cells add left to right, and kn divides by kl against
     build_maximizer's opponent (first minimal cell). Counts are int64, so a
-    total past INT64_DOTS_BUDGET raises BudgetExceeded. The arrays come from
-    _measure_blocks, the kernel's one block loop: one block's own, or copied in.
+    total past INT64_DOTS_BUDGET raises BudgetExceeded. The arrays are rows
+    of one (5, a, b) array that _measure_blocks, the kernel's one block loop, fills.
     """
-    out = {}
-    for first, values in _measure_blocks(counts_p, counts_q, total):
-        if len(values["kl"]) == len(counts_p):
-            return values  # one block, whose buffers nothing reuses
-        for m, v in values.items():
-            out.setdefault(m, np.empty((len(counts_p), v.shape[1])))[first : first + len(v)] = v
-    return out
+    for _, block in _measure_blocks(counts_p, counts_q, total, whole=True):
+        pass
+    return dict(zip(_KERNEL_LABELS, block.base))  # each block is a view of that array

@@ -9,8 +9,9 @@ formatted columns into lines, _ROW_CHUNK rows at a time.
 
 The pairwise sweep, a million pairs at 15/5, walks the kernel's one block
 loop, divergence._measure_blocks, which scores whole index_p rows, up to
-2**14 pairs, at a time: _pairrows writes each block whole (its docstring
-has the format) and a stats.ColumnSummary folds it into the summary's
+2**14 pairs, at a time, into one (5, rows, count) array. Viewed as (5,
+pairs), it goes whole to _pairrows, which writes it (its docstring has the
+format), and to a stats.ColumnSummary, which folds it into the summary's
 moments, maxima and distinct values. So the sweep's memory does not grow
 with the pair count, and each pair is scored once.
 
@@ -148,10 +149,9 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     summary = ColumnSummary(MEASURE_LABELS)
     with open(out_path, "wb") as fh:
         fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")
-        for first, values in _measure_blocks(counts, counts, total):
-            squared = values.pop("hellinger_squared")
-            values["hellinger"] = np.sqrt(squared, out=squared)  # unsquared in place
-            columns = [values[m].ravel() for m in MEASURE_LABELS]  # row-major
+        for first, block in _measure_blocks(counts, counts, total):
+            np.sqrt(block[3], out=block[3])  # hellinger, unsquared in place
+            columns = block.reshape(5, -1)  # a view: each measure's pairs, row-major
             write_pair_rows(fh, count, columns, first)
             summary.add(columns)
 

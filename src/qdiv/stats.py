@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .distributions import QuantumDistribution
-from .divergence import _distinct, _int_array
+from .divergence import _distinct, _distinct_counts, _int_array
 from .errors import DegenerateInput
 
 
@@ -63,16 +63,15 @@ def property_columns(counts) -> dict[str, list]:
     counts = _int_array(counts)
     n = counts.shape[1]
     total = sum(counts[0].tolist())
-    values = _distinct(counts.flatten())
+    values = _distinct_counts(counts)
     ks = values.tolist()
     # probabilities before the mean: past float range one fails log2 before total / n overflows
     terms = [[x * math.log2(x) for x in (k / total for k in ks)]]
     mean = total / n
     terms += ([(k - mean) ** e for k in ks] for e in (2, 3, 4))
-    table, index = np.array(terms), np.searchsorted(values, counts)
-    sums = np.zeros((4, len(counts)))
-    for c in range(n):
-        sums += table[:, index[:, c]]
+    table, sums = np.array(terms), np.zeros((4, len(counts)))
+    for column in counts.T:  # one column's index at a time, none counts-sized
+        sums += table[:, np.searchsorted(values, column)]
     m2, m3, m4 = (sums[1:] / n).tolist()
     # 0.0 - rather than unary minus: one cell sums to 0.0, whose negation is -0.0
     return {
@@ -83,47 +82,37 @@ def property_columns(counts) -> dict[str, list]:
     }
 
 
-def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size:
         raise DegenerateInput("correlation needs two equal-length vectors")
     if xa.size < 2:
         raise DegenerateInput("correlation needs at least two points")
-    return xa, ya
+    return np.stack((xa, ya))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation in [-1, 1]: pearson_pairs of the two columns."""
-    xa, ya = _paired_arrays(x, y)
-    rho = pearson_pairs({"x": xa, "y": ya}).get(("x", "y"))
+    """Product-moment correlation in [-1, 1] of two finite vectors, as ColumnSummary's."""
+    columns = _paired_arrays(x, y)
+    if not np.isfinite(columns).all():
+        raise DegenerateInput("correlation needs finite values")
+    rho = _correlations(("x", "y"), _moments(columns)[1]).get(("x", "y"))
     if rho is None:
         raise DegenerateInput("correlation undefined for zero-variance input")
     return rho
 
 
-def pearson_pairs(columns: Mapping[str, np.ndarray]) -> dict[tuple[str, str], float]:
-    """The Pearson correlation of columns[a] and columns[b] for every a before b.
-
-    ColumnSummary's one-block case, from the same moments without its gap
-    statistics. Pairs with fewer than two points or a zero-variance column,
-    where pearson raises DegenerateInput, are left out.
-    """
-    arrays = list(columns.values())
-    if not arrays or len(arrays[0]) < 2:
-        return {}
-    return _correlations(list(columns), _moments(arrays)[1])
-
-
-def _moments(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's .mean(), and np.sum of each pair's centred products, no BLAS."""
-    means = np.array([c.mean() for c in columns])
-    centred = [np.subtract(c, m) for c, m in zip(columns, means)]  # once a column
-    comoments, product = np.empty((len(columns), len(columns))), np.empty(len(columns[0]))
+def _moments(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of (k, size) columns: row means, np.sum of centred products (no BLAS), centred rows."""
+    means = columns.mean(axis=1)
+    centred = columns - means[:, None]
+    k = len(columns)
+    comoments, product = np.empty((k, k)), np.empty(columns.shape[1])
     for i, x in enumerate(centred):
-        for j in range(i, len(columns)):
+        for j in range(i, k):
             comoments[i, j] = comoments[j, i] = np.sum(np.multiply(x, centred[j], out=product))
-    return means, comoments
+    return means, comoments, centred
 
 
 def _correlations(names: Sequence[str], comoments: np.ndarray) -> dict[tuple[str, str], float]:
@@ -143,9 +132,9 @@ class ColumnSummary:
     It holds the count, each column's mean, the matrix of centred co-moments
     (sums of products of deviations from the means), each column's maximum
     and its distinct values rounded to 12 decimals. A block's own moments
-    come from _moments, as pearson_pairs' do; the first block's are kept
-    as they are, so a one-block fold equals the whole-column formulas bit
-    for bit. Each later block merges in with the pairwise update of Chan,
+    come from _moments, as pearson's do; the first block's are kept as
+    they are, so a one-block fold equals the whole-column formulas bit for
+    bit. Each later block merges in with the pairwise update of Chan,
     Golub and LeVeque (1983), which may move the last bits. Maxima merge by
     max and distinct values by union, exactly, once the blocks' waiting
     distinct values are as many as the merged ones, not at every block.
@@ -167,18 +156,18 @@ class ColumnSummary:
             sets[:] = [_distinct(np.concatenate(sets))]
         return [sets[0] for sets in self._sets]
 
-    def add(self, columns: Sequence[np.ndarray]) -> None:
-        """Fold in one block of rows: columns[i] holds the block's values of names[i]."""
-        size = len(columns[0]) if columns else 0
+    def add(self, columns: np.ndarray) -> None:
+        """Fold in one block of rows: row i of the (k, size) array holds the block's names[i]."""
+        size = columns.shape[1]
         if size == 0:
             return
-        means, comoments = _moments(columns)
-        rounded = np.empty(size)  # each column's rounded copy, which _distinct sorts in place
-        for sets, a in zip(self._sets, columns):
-            sets.append(_distinct(np.round(a, 12, out=rounded)))
+        means, comoments, centred = _moments(columns)
+        # the rounded block goes where the centred one was; _distinct sorts each row in place
+        for sets, row in zip(self._sets, np.round(columns, 12, out=centred)):
+            sets.append(_distinct(row))
             if sum(map(len, sets)) >= 2 * len(sets[0]):
                 sets[:] = [_distinct(np.concatenate(sets))]
-        np.maximum(self.maxima, [c.max() for c in columns], out=self.maxima)
+        np.maximum(self.maxima, columns.max(axis=1), out=self.maxima)
         if self.count:
             n = self.count + size
             delta = means - self.means
@@ -188,7 +177,7 @@ class ColumnSummary:
         self.means, self.comoments = means, comoments
 
     def correlations(self) -> dict[tuple[str, str], float]:
-        """pearson_pairs of every column folded in so far."""
+        """pearson of each pair of columns folded in so far, but for zero variance."""
         return _correlations(self.names, self.comoments) if self.count >= 2 else {}
 
     def gap_stats(self) -> dict[str, GapStats]:
@@ -243,5 +232,5 @@ def gap_stats(values: Sequence[float]) -> GapStats:
     if not np.isfinite(v).all():
         raise DegenerateInput("gap_stats needs finite values")
     summary = ColumnSummary(["v"])
-    summary.add([v])
+    summary.add(v[None])
     return summary.gap_stats()["v"]

@@ -425,6 +425,25 @@ class TestBatchedKernel:
         ):
             assert values[name].tolist() == [[fn(p, q) for p, q in row] for row in pairs], name
 
+    def test_blocks_are_views_of_one_buffer(self):
+        # 15/5 has 1,001 distributions: blocks of 16,384 // 1,001 = 16 rows,
+        # the 63rd of 9; each is a (5, rows, 1001) view of the one buffer
+        counts = np.array([d.multiplicities for d in enumerate_unordered(15, 5)])
+        values = measures(counts, counts, 15)
+        labels = ("kl", "kn", "jsd", "hellinger_squared", "jaccard")
+        assert all(values[m].base is values["kl"].base for m in labels)  # one (5, a, b) array
+        firsts, blocks = [], divergence._measure_blocks(counts, counts, 15)
+        for first, block in blocks:
+            rows = min(16, 1001 - first)
+            assert block.shape == (5, rows, 1001) and block.dtype == np.float64
+            if firsts:
+                assert np.shares_memory(block, kept)
+            kept = block
+            for k, m in enumerate(labels):
+                assert block[k].tobytes() == values[m][first : first + rows].tobytes(), m
+            firsts.append(first)
+        assert firsts == list(range(0, 1001, 16)) and len(firsts) == 63
+
 
 class TestAgainstScipy:
     @given(pair_strategy())

@@ -36,7 +36,7 @@ from qdiv import (
     write_uniform_study_csv,
 )
 from qdiv import _pairrows, divergence, enumeration, experiments
-from qdiv.stats import ColumnSummary
+from qdiv.stats import ColumnSummary, property_columns
 
 PAIRWISE_HEADER = "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
 
@@ -265,13 +265,13 @@ def blocked_pair_rows(count, block, columns):
     step = max(1, block // count)
     for first in range(0, count, step):
         pairs = slice(first * count, (first + step) * count)
-        _pairrows.write_pair_rows(fh, count, [c[pairs] for c in columns], first)
+        _pairrows.write_pair_rows(fh, count, columns[:, pairs], first)
     return fh.getvalue()
 
 
 def check_pair_rows(count, block, rows):
     """blocked_pair_rows of count * count rows, against format."""
-    columns = [np.array(column, dtype=np.float64) for column in zip(*rows)]
+    columns = np.array(list(zip(*rows)), dtype=np.float64)
     expected = "".join(
         f"{k // count},{k % count}," + ",".join(format(v, ".6f") for v in row) + "\n"
         for k, row in enumerate(rows)
@@ -348,7 +348,7 @@ class TestPairRowFormat:
         # four index_p rows; words written right to left would clip digits.
         # FALLBACK_VALUES send every row to str.format, SLAB_VALUES none
         count = 1001
-        columns = [np.full(count * count, v) for v in values]
+        columns = np.repeat(np.array(values)[:, None], count * count, axis=1)
         tail = "," + ",".join(format(v, ".6f") for v in values) + "\n"
         index_q = [f"{j}{tail}" for j in range(count)]
         # prefix + prefix.join(index_q) is every row of one index_p
@@ -529,17 +529,22 @@ class TestReferenceUniformStudy:
             (
                 divergence.measures,
                 lambda: (enumeration._partition_matrix(50, 10), [(5,) * 10], 50),
-                2.2 * 2**20,
+                1.75 * 2**20,
             ),
             (run_uniform_study, lambda: (60, 12), 13.5 * 2**20),
+            (property_columns, lambda: (run_uniform_study(60, 12).counts,), 20 * 2**20),
         ],
-        ids=["partition-50-10", "measures-50-10", "study-60-12"],
+        ids=["partition-50-10", "measures-50-10", "study-60-12", "columns-60-12"],
     )
     def test_study_builds_in_about_one_result(self, run, args, bound):
         # the 50/10 matrix takes 1.29 MiB and its five measure columns
         # 0.65 MiB; the 60/12 study 6.8 + 2.8 MiB. Traced peaks, before ->
         # after filling the matrix in place and reading counts_p a column at
-        # a time: 3.15 -> 2.42, 2.60 -> 1.91 and 21.65 -> 11.79 MiB
+        # a time: 3.15 -> 2.42, 2.60 -> 1.91 and 21.65 -> 11.79 MiB; with
+        # the kernel scoring straight into measures()' result, no block
+        # buffer and no copy, 1.53 MiB. The 60/12 study's property columns,
+        # 9.2 MiB of Python floats, peaked at 25.09 MiB with a whole-matrix
+        # copy and index; a column's at a time, 18.29 MiB
         args = args()
         tracemalloc.start()
         try:

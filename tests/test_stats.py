@@ -17,7 +17,7 @@ from qdiv import (
     run_uniform_study,
     spearman,
 )
-from qdiv.stats import ColumnSummary, pearson_pairs, property_columns
+from qdiv.stats import ColumnSummary, property_columns
 
 value_lists = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=30
@@ -234,6 +234,14 @@ class TestPearson:
         with pytest.raises(DegenerateInput):
             pearson([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # numpy would return nan with a RuntimeWarning
+        with pytest.raises(DegenerateInput):
+            pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateInput):
+            pearson([1.0, 2.0, 3.0], [bad, 2.0, 1.0])
+
     @given(value_lists, value_lists)
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_scipy(self, x, y):
@@ -265,32 +273,6 @@ column_sets = st.integers(1, 30).flatmap(lambda size: st.lists(
     ),
     min_size=0, max_size=5,
 ))
-
-
-class TestPearsonPairs:
-    @given(column_sets)
-    @settings(max_examples=80, deadline=None)
-    def test_equals_pearson_bit_for_bit(self, columns):
-        named = {f"c{k}": np.array(c, dtype=np.float64) for k, c in enumerate(columns)}
-        names = list(named)
-        expected = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                rho = pearson_or_none(named[a], named[b])
-                if rho is not None:
-                    expected[(a, b)] = rho
-        got = pearson_pairs(named)
-        # same keys in the same order; NaN never occurs on these finite inputs
-        assert list(got.items()) == list(expected.items())
-
-    def test_zero_variance_column_drops_its_pairs(self):
-        named = {
-            "x": np.array([1.0, 2.0, 4.0]),
-            "flat": np.full(3, 0.5),
-            "y": np.array([3.0, 1.0, 2.0]),
-        }
-        assert list(pearson_pairs(named)) == [("x", "y")]
-        assert pearson_pairs({"x": np.array([1.0]), "y": np.array([2.0])}) == {}
 
 
 class TestRanksAndSpearman:
@@ -433,8 +415,8 @@ class TestColumnSummary:
         names = [f"c{k}" for k in range(len(columns))]
         split, whole = ColumnSummary(names), ColumnSummary(names)
         for lo, hi in zip(edges, edges[1:]):
-            split.add([c[lo:hi] for c in columns])
-        whole.add(columns)
+            split.add(np.array([c[lo:hi] for c in columns]))
+        whole.add(np.array(columns))
         assert [d.tobytes() for d in split.distinct] == [d.tobytes() for d in whole.distinct]
         for name in names:
             g, expected = split.gap_stats()[name], whole.gap_stats()[name]
@@ -447,10 +429,11 @@ class TestColumnSummary:
     def test_blocks_fold_to_the_whole_columns(self, drawn):
         columns, edges = drawn
         names = [f"c{k}" for k in range(len(columns))]
-        summary = ColumnSummary(names)
+        summary, one_block = ColumnSummary(names), ColumnSummary(names)
         for lo, hi in zip(edges, edges[1:]):
-            summary.add([c[lo:hi] for c in columns])
-        whole = pearson_pairs(dict(zip(names, columns)))
+            summary.add(np.array([c[lo:hi] for c in columns]))
+        one_block.add(np.array(columns))
+        whole = one_block.correlations()
         got = summary.correlations()
         assert got.keys() == whole.keys()
         for key, rho in got.items():
@@ -466,6 +449,31 @@ class TestColumnSummary:
     def test_one_block_equals_the_one_shot_functions(self):
         columns = {"x": np.array([0.5, 0.25, 2.0, 0.125]), "y": np.array([3.0, 1.0, 4.0, 1.5])}
         summary = ColumnSummary(columns)
-        summary.add(list(columns.values()))
+        summary.add(np.array(list(columns.values())))
         assert summary.correlations() == {("x", "y"): pearson(columns["x"], columns["y"])}
         assert summary.gap_stats() == {m: gap_stats(c) for m, c in columns.items()}
+
+    @given(column_sets)
+    @settings(max_examples=80, deadline=None)
+    def test_one_block_equals_pearson_bit_for_bit(self, columns):
+        named = {f"c{k}": np.array(c, dtype=np.float64) for k, c in enumerate(columns)}
+        names = list(named)
+        expected = {}
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                rho = pearson_or_none(named[a], named[b])
+                if rho is not None:
+                    expected[(a, b)] = rho
+        summary = ColumnSummary(names)
+        if columns:
+            summary.add(np.array(columns, dtype=np.float64))
+        # same keys in the same order; NaN never occurs on these finite inputs
+        assert list(summary.correlations().items()) == list(expected.items())
+
+    def test_zero_variance_column_drops_its_pairs(self):
+        summary = ColumnSummary(["x", "flat", "y"])
+        summary.add(np.array([[1.0, 2.0, 4.0], [0.5, 0.5, 0.5], [3.0, 1.0, 2.0]]))
+        assert list(summary.correlations()) == [("x", "y")]
+        summary = ColumnSummary(["x", "y"])
+        summary.add(np.array([[1.0], [2.0]]))
+        assert summary.correlations() == {}
