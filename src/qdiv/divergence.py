@@ -196,8 +196,14 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _distinct_counts(counts: np.ndarray) -> np.ndarray:
-    """The distinct entries of a (rows, cells) matrix, ascending, one column's copy at a time."""
-    return _distinct(np.concatenate([_distinct(column.copy()) for column in counts.T]))
+    """The distinct entries of a (rows, cells) matrix, ascending, one column's copy at a time.
+
+    The copy has at least 32 bits: numpy sorts 32- and 64-bit ints with SIMD
+    code where the CPU has it, and 8-bit ones about ten times slower.
+    """
+    wide = np.promote_types(counts.dtype, np.uint32)
+    columns = [_distinct(column.astype(wide)) for column in counts.T]
+    return _distinct(np.concatenate(columns)).astype(counts.dtype)
 
 
 def _int_array(counts) -> np.ndarray:
@@ -215,16 +221,25 @@ def _int_array(counts) -> np.ndarray:
 
 
 def _counts_array(counts, total: int) -> np.ndarray:
-    """counts as an integer array; Python ints past int64 clip to int64 outside [1, total]."""
+    """counts as an integer array that int64 mixes with exactly, copied only if it does not.
+
+    Python ints past int64 clip to int64 outside [1, total]. uint64, which
+    int64 would mix with as float64, wraps to int64: a count past int64
+    turns negative. Any narrower dtype stays as it is.
+    """
     c = _int_array(counts)
-    return np.clip(c, 0, total + 1).astype(np.int64) if c.dtype == object else c
+    if c.dtype == object:
+        return np.clip(c, 0, total + 1).astype(np.int64)
+    return c.astype(np.int64) if c.dtype.kind == "u" and c.dtype.itemsize == 8 else c
 
 
 def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
     """measures() in blocks of whole counts_p rows: (first row, (5, rows, b) array).
 
     A block holds _KERNEL_LABELS in order: rows of one (5, a, b) array if
-    whole, else a view of one buffer that the next block overwrites.
+    whole, else a view of one buffer that the next block overwrites. The
+    counts are read in their own dtype, with no whole copy (_counts_array);
+    the sums, gather indices and jaccard minima are int64.
     """
     check_budget(total, INT64_DOTS_BUDGET, "dots")
     try:
@@ -235,8 +250,6 @@ def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
         raise DomainMismatch(
             f"counts must be non-empty (rows, cells) arrays, not {cp.shape} and {cq.shape}"
         )
-    # no copy of counts that are int64 already, as run_uniform_study's are
-    cp, cq = cp.astype(np.int64, copy=False), cq.astype(np.int64, copy=False)
     a, n = cp.shape
     if cq.shape[1] != n:
         raise DomainMismatch(f"cannot compare {n} cells against {cq.shape[1]}")
@@ -259,24 +272,29 @@ def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
     )
     qi, (one, top) = np.searchsorted(kq_values, cq), np.searchsorted(kq_values, (1, big))
     step = min(a, max(1, _BLOCK // len(cq)))
+    # the five measures: out whole, or one block buffer; then gather indices and kl maxima
     out = np.empty((5, a, len(cq))) if whole else None
-    # the five measures, unless out holds them, then the gather scratch cell
-    buffer = np.empty((1 if whole else 6, step, len(cq)))
-    index = np.empty((step, len(cq)), np.int64)
+    buffer = None if whole else np.empty((5, step, len(cq)))
+    index, maxima = np.empty((step, len(cq)), np.int64), np.empty(step)
     for start in range(0, a, step):
         rows, size = slice(start, start + step), min(step, a - start)
-        block = out[:, rows] if whole else buffer[:5, :size]
-        (kl, kn, jsd, he, jaccard), cell, at = block, buffer[-1, :size], index[:size]
-        kl[:] = jsd[:] = he[:] = 0.0  # each sum adds cell 0, 1, ... to 0.0, as the loops do
+        block = out[:, rows] if whole else buffer[:, :size]
+        (kl, kn, jsd, he, jaccard), at, kl_max = block, index[:size], maxima[:size]
+        # each sum adds cell 0, 1, ... to 0.0, as the loops do
+        kl[:] = jsd[:] = he[:] = kl_max[:] = 0.0
         # kl against build_maximizer's opponent: big on the first minimal cell, 1 elsewhere
-        low, kl_max = cp[rows].argmin(axis=1), 0.0
+        low = cp[rows].argmin(axis=1)
         for c in range(n):
-            pi = np.searchsorted(kp_values, cp[rows, c]) * width
-            kl_max = kl_max + kl_t.take(pi + np.where(low == c, top, one))
+            pi = np.searchsorted(kp_values, cp[rows, c])
+            pi *= width
             np.add(pi[:, None], qi[:, c], out=at)
+            pi += one
+            pi[low == c] += top - one
+            kl_max += kl_t.take(pi)
             for table, acc in ((kl_t, kl), (jsd_t, jsd), (he_t, he)):
-                # every index is in range; "clip" skips the copy of out that "raise" makes
-                acc += np.take(table, at, out=cell, mode="clip")
+                # jaccard, filled last, is the gather scratch; every index is in
+                # range, and "clip" skips the copy of out that "raise" makes
+                acc += np.take(table, at, out=jaccard, mode="clip")
         kl_max[kl_max == 0.0] = 1.0  # one distribution (total == cells or cells == 1): kl 0
         jsd *= 0.5
         he *= 0.5
@@ -286,8 +304,8 @@ def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
         for c in range(1, n):
             at += np.minimum(cp[rows, c, None], cq[:, c])
         if 2 * total <= 2**53:  # float64 holds every int up to 2**53 exactly
-            np.subtract(2 * total, at, out=cell)
-            np.subtract(1.0, np.divide(at, cell, out=cell), out=jaccard)
+            np.subtract(2 * total, at, out=jaccard)
+            np.subtract(1.0, np.divide(at, jaccard, out=jaccard), out=jaccard)
         else:  # divide the exact ints, as jaccard_distance does
             jaccard[:] = [[1.0 - m / (2 * total - m) for m in r] for r in at.tolist()]
         yield start, block
@@ -297,15 +315,18 @@ def measures(counts_p, counts_q, total: int) -> dict[str, np.ndarray]:
     """Every measure between each row of counts_p and each row of counts_q.
 
     counts_p is (a, n), counts_q is (b, n), integer multiplicities on the
-    quantum 1/total, as int64 arrays or nested sequences of ints. Floats,
-    bools, strings and ragged rows raise DomainMismatch; ints past int64 lie
-    above any total or below 1 and raise QuantumMismatch. Returns (a, b)
+    quantum 1/total, as integer arrays of any dtype or nested sequences of
+    ints. Floats, bools, strings and ragged rows raise DomainMismatch; ints
+    past int64 lie above any total or below 1 and raise QuantumMismatch, as
+    do uint64 counts past int64. Narrower dtypes, such as the uniform
+    study's uint8 counts, are read as they are. Returns (a, b)
     arrays kl, kn, jsd, hellinger_squared and jaccard equal bit for bit to
     the scalar functions: the same _*_term functions give each distinct
     (kp, kq) term, cells add left to right, and kn divides by kl against
-    build_maximizer's opponent (first minimal cell). Counts are int64, so a
-    total past INT64_DOTS_BUDGET raises BudgetExceeded. The arrays are rows
-    of one (5, a, b) array that _measure_blocks, the kernel's one block loop, fills.
+    build_maximizer's opponent (first minimal cell). The kernel's arithmetic
+    is int64, so a total past INT64_DOTS_BUDGET raises BudgetExceeded. The
+    arrays are rows of one (5, a, b) array that _measure_blocks, the
+    kernel's one block loop, fills.
     """
     for _, block in _measure_blocks(counts_p, counts_q, total, whole=True):
         pass

@@ -6,8 +6,9 @@ parts. Both stream in lexicographically descending order of the multiplicity
 vector, and both counts are exact big integers. The successor generators run
 every check of an enumeration and yield the tuples that the enumerate_*
 generators wrap in validated objects; the pairwise sweep reads
-_compositions' tuples. The uniform study takes the partitions as one int64
-matrix from _partition_matrix, in the same order.
+_compositions' tuples. The uniform study takes the partitions as one matrix
+from _partition_matrix, in the same order, its counts in the narrowest
+unsigned dtype that holds the total.
 """
 
 from __future__ import annotations
@@ -114,8 +115,13 @@ def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
             left -= part
 
 
+def _narrow(top: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every int in [0, top]: uint8 up to 255, and so on."""
+    return np.min_scalar_type(top)
+
+
 def _partition_matrix(total: int, cells: int) -> np.ndarray:
-    """_partitions(total, cells) as one (count_ordered, cells) int64 array.
+    """_partitions(total, cells) as one (count_ordered, cells) matrix of _narrow(total) counts.
 
     The rows come in the same lex-descending order, built one column at a
     time in the leading rows of the result: each partial row (dots left,
@@ -123,25 +129,29 @@ def _partition_matrix(total: int, cells: int) -> np.ndarray:
     left + 1) down to ceil(left / cells left), the smallest that can still
     carry the rest, and the last part is what is left. Every partial row so
     extends to at least one full row, so no column is longer than the
-    result. Each new partial row copies its parent's earlier parts. Its
+    result. Each new partial row copies its parent's earlier parts. The
+    per-depth scratch is as narrow as the counts, as no step leaves [0,
+    total], and the parent and step indices as the depth's row count. Its
     caller, the uniform study, checks cells against CELLS_BUDGET and total
     against INT64_DOTS_BUDGET.
     """
-    matrix = np.empty((count_ordered(total, cells), cells), np.int64)  # checks the domain
-    left = np.array([total], np.int64)
-    cap = left - cells + 1
+    matrix = np.empty((count_ordered(total, cells), cells), _narrow(total))  # checks the domain
+    left = np.array([total], matrix.dtype)
+    cap = left - (cells - 1)
     for d, c in enumerate(range(cells, 1, -1)):
         hi = np.minimum(cap, left - (c - 1))
-        sizes = hi - -(-left // c) + 1
+        # (left - 1) // c + 1 is ceil(left / c) without negating an unsigned int
+        sizes = (hi - ((left - 1) // c + 1)).astype(np.intp) + 1
+        parent = np.repeat(np.arange(len(left), dtype=_narrow(len(left))), sizes)
         # row k of the new column counts down from hi of its parent
-        step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        parent = np.repeat(np.arange(len(left)), sizes)
+        step = np.arange(len(parent), dtype=_narrow(len(parent)))
+        step -= np.repeat((np.cumsum(sizes) - sizes).astype(step.dtype), sizes)
         # 1,024 rows at a time, bottom up: a parent row sits at or above its children
         for end in range(len(parent), 0, -1024):
             rows = slice(max(0, end - 1024), end)
             matrix[rows, :d] = matrix[parent[rows], :d]
-        cap = hi[parent] - step
-        left = left[parent] - cap
+        cap = np.repeat(hi, sizes) - step.astype(matrix.dtype)
+        left = np.repeat(left, sizes) - cap
         matrix[: len(parent), d] = cap
     matrix[:, -1] = left
     return matrix

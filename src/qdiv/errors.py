@@ -9,7 +9,7 @@ Every size limit is here, one per unit of work, checked by check_budget
 before the work is allocated. The units cost too differently to share one
 number: a pairwise pair is memory-bound, a verify pair one scalar kl call,
 a study multiplicity a few microseconds of kernel and property work. The
-dots of one total are bounded by the batched kernel's int64 counts.
+dots of one total are bounded by the batched kernel's int64 arithmetic.
 """
 
 # pairs scored: N*N by pairwise and the verify sweep, N by brute_force_max_kl
@@ -20,7 +20,7 @@ STUDY_BUDGET = 2 * 10**6
 COUNT_BUDGET = 4 * 10**6
 # cells of one enumerated distribution
 CELLS_BUDGET = 10**4
-# dots of a total held in int64 counts: the jaccard denominator 2 * total must fit
+# dots of a total the kernel's int64 arithmetic holds: the jaccard denominator 2 * total must fit
 INT64_DOTS_BUDGET = (2**63 - 1) // 2
 
 

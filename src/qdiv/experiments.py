@@ -15,11 +15,13 @@ format), and to a stats.ColumnSummary, which folds it into the summary's
 moments, maxima and distinct values. So the sweep's memory does not grow
 with the pair count, and each pair is scored once.
 
-The uniform study enumerates straight into the kernel's (distributions,
-cells) int64 count matrix (enumeration._partition_matrix fills it in place)
-and keeps it; the pairwise sweep stacks the multiplicity tuples of the
-_compositions successor generator into one. No writer builds a distribution: the study
-CSV's shape properties come from the matrix, through stats.property_columns.
+The uniform study enumerates straight into a (distributions, cells) count
+matrix of the narrowest unsigned dtype that holds the total, uint8 up to
+255 dots (enumeration._partition_matrix fills it in place), which the
+kernel reads as it is, and keeps it; the pairwise sweep stacks the
+multiplicity tuples of the _compositions successor generator into one. No
+writer builds a distribution: the study CSV's shape properties come from
+the matrix, through stats.property_columns.
 The study's measure and rank columns stay the kernel's float64 arrays up to
 the writer, which turns one chunk of rows at a time into Python values, and
 the tables, which read the maximum and the left-to-right mean off the arrays.
@@ -33,9 +35,8 @@ matching the hellinger() measure itself.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -49,12 +50,18 @@ from .errors import (
     INT64_DOTS_BUDGET,
     PAIR_BUDGET,
     STUDY_BUDGET,
-    DegenerateInput,
     InvalidSpec,
     NonUniformCapable,
     check_budget,
 )
-from .stats import ColumnSummary, GapStats, fractional_ranks, pearson, property_columns
+from .stats import (
+    ColumnSummary,
+    GapStats,
+    _correlations,
+    _moments,
+    fractional_ranks,
+    property_columns,
+)
 
 TABLE_MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")
 _ROW_CHUNK = 1024  # study rows formatted at a time
@@ -64,8 +71,10 @@ _ROW_CHUNK = 1024  # study rows formatted at a time
 class UniformStudy:
     """Every ordered distribution of one domain against the uniform one.
 
-    counts is the (distributions, cells) int64 matrix of multiplicities,
-    one row per distribution, lex-descending; values maps each of
+    counts is the (distributions, cells) matrix of multiplicities, one row
+    per distribution, lex-descending, in the narrowest unsigned dtype that
+    holds the total (uint8 up to 255 dots). Unsigned arithmetic wraps:
+    take counts.astype(np.int64) before subtracting. values maps each of
     TABLE_MEASURES to its 1-D float64 array, in the same order. Asymmetric
     measures put the enumerated distribution first: kl(P, uniform) and
     kn(P, uniform). hellinger holds the squared form (see module
@@ -81,7 +90,14 @@ class UniformStudy:
 
     def ranks(self) -> dict[str, np.ndarray]:
         """Each measure's float64 ranks, ascending by value with average ties."""
-        return {m: fractional_ranks(self.values[m]) for m in TABLE_MEASURES}
+        return dict(zip(TABLE_MEASURES, self._ranked()))
+
+    def _ranked(self) -> np.ndarray:
+        """ranks() as the rows of one (measures, distributions) array, filled a row at a time."""
+        ranked = np.empty((len(TABLE_MEASURES), len(self)))
+        for row, m in zip(ranked, TABLE_MEASURES):
+            row[:] = fractional_ranks(self.values[m])
+        return ranked
 
 
 @dataclass
@@ -181,7 +197,7 @@ def _check_study(total: int, cells: int) -> None:
         raise NonUniformCapable(f"{cells} cells cannot split {total} dots uniformly")
     check_budget(count_ordered(total, cells) * cells, STUDY_BUDGET, "multiplicities")
     check_budget(cells, CELLS_BUDGET, "cells")
-    check_budget(total, INT64_DOTS_BUDGET, "dots")  # _partition_matrix's int64 counts
+    check_budget(total, INT64_DOTS_BUDGET, "dots")  # the kernel's int64 arithmetic
 
 
 def run_uniform_study(total: int, cells: int) -> UniformStudy:
@@ -200,8 +216,12 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     return UniformStudy(counts, {m: kernel.pop(m)[:, 0] for m in TABLE_MEASURES})
 
 
-def _write_study_rows(path: Path, counts: np.ndarray, ranks: dict, columns: dict) -> None:
+def _write_study_rows(
+    path: Path, counts: np.ndarray, ranked: np.ndarray, columns: dict
+) -> None:
     """One row per row of counts: the counts quoted, each named column, the five ranks.
+
+    ranked holds a row of ranks per measure, in TABLE_MEASURES order.
 
     A column is a float64 array or a list, whose None prints as an empty
     cell. Rows are formatted _ROW_CHUNK at a time, and only that chunk of
@@ -209,7 +229,7 @@ def _write_study_rows(path: Path, counts: np.ndarray, ranks: dict, columns: dict
     """
     header = ",".join(["distribution", *columns, *(f"rank_{m}" for m in TABLE_MEASURES)])
     formats = [_f6] * len(columns) + ["{:.1f}".format] * len(TABLE_MEASURES)
-    columns = [*columns.values(), *(ranks[m] for m in TABLE_MEASURES)]
+    columns = [*columns.values(), *ranked]
 
     def chunk_lines(start: int) -> Iterator[str]:
         rows = slice(start, start + _ROW_CHUNK)
@@ -231,7 +251,7 @@ def write_uniform_study_csv(study: UniformStudy, out_path: str | Path) -> Path:
     out_path = Path(out_path)
     # property_columns names its columns as the header does
     columns = {m: study.values[m] for m in TABLE_MEASURES} | property_columns(study.counts)
-    _write_study_rows(out_path, study.counts, study.ranks(), columns)
+    _write_study_rows(out_path, study.counts, study._ranked(), columns)
     return out_path
 
 
@@ -287,14 +307,14 @@ def run_rank_comparison(
     """
     out_path = Path(out_path)
     study = run_uniform_study(total, cells)
-    ranks = study.ranks()
-    _write_study_rows(out_path, study.counts, ranks, {})
+    ranked = study._ranked()
+    _write_study_rows(out_path, study.counts, ranked, {})
 
-    # spearman is pearson on fractional ranks
-    coefficients: dict[tuple[str, str], float] = {}
-    for a, b in product(TABLE_MEASURES, repeat=2):
-        with suppress(DegenerateInput):
-            coefficients[a, b] = pearson(ranks[a], ranks[b])
+    # spearman is pearson on fractional ranks: every cell from one set of
+    # co-moments, as pearson computes each, with the ranks centred in place;
+    # one row has no variance
+    comoments = _moments(ranked, out=ranked)[1]
+    coefficients = _correlations(TABLE_MEASURES, comoments, ordered=True)
     matrix = (
         ",".join([a, *(_f6(coefficients.get((a, b))) for b in TABLE_MEASURES)])
         for a in TABLE_MEASURES

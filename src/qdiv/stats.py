@@ -97,16 +97,21 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     columns = _paired_arrays(x, y)
     if not np.isfinite(columns).all():
         raise DegenerateInput("correlation needs finite values")
-    rho = _correlations(("x", "y"), _moments(columns)[1]).get(("x", "y"))
+    rho = _correlations(("x", "y"), _moments(columns, out=columns)[1]).get(("x", "y"))
     if rho is None:
         raise DegenerateInput("correlation undefined for zero-variance input")
     return rho
 
 
-def _moments(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Of (k, size) columns: row means, np.sum of centred products (no BLAS), centred rows."""
+def _moments(
+    columns: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of (k, size) columns: row means, np.sum of centred products (no BLAS), centred rows.
+
+    The centred rows go to out if given; out=columns centres in place.
+    """
     means = columns.mean(axis=1)
-    centred = columns - means[:, None]
+    centred = np.subtract(columns, means[:, None], out=out)
     k = len(columns)
     comoments, product = np.empty((k, k)), np.empty(columns.shape[1])
     for i, x in enumerate(centred):
@@ -115,11 +120,16 @@ def _moments(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return means, comoments, centred
 
 
-def _correlations(names: Sequence[str], comoments: np.ndarray) -> dict[tuple[str, str], float]:
-    """Pearson of names[i] and names[j], i < j, from centred co-moments, but for zero variance."""
+def _correlations(
+    names: Sequence[str], comoments: np.ndarray, ordered: bool = False
+) -> dict[tuple[str, str], float]:
+    """Pearson of names[i] and names[j] from centred co-moments, but for zero variance.
+
+    The pairs are i < j, or every (i, j) in row-major order if ordered.
+    """
     squares, coefficients = comoments.diagonal().tolist(), {}
     for i, a in enumerate(names):
-        for j in range(i + 1, len(names)):
+        for j in range(0 if ordered else i + 1, len(names)):
             den = math.sqrt(squares[i] * squares[j])
             if den != 0.0:
                 coefficients[(a, names[j])] = float(comoments[i, j]) / den

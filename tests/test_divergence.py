@@ -425,6 +425,48 @@ class TestBatchedKernel:
         ):
             assert values[name].tolist() == [[fn(p, q) for p, q in row] for row in pairs], name
 
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.uint16, np.uint32, np.int8, np.int32, np.uint64]
+    )
+    def test_every_integer_dtype_scores_as_int64(self, dtype):
+        # the uniform study's counts are as narrow as the total; uint64 is
+        # made int64, and every other dtype is read as it is
+        counts = np.array([d.multiplicities for d in enumerate_unordered(12, 4)])
+        domains = [(counts, 12)]
+        if np.iinfo(dtype).max >= 300:  # big = 299 lies past the counts' own range
+            domains.append((np.array([(150, 150), (1, 299), (100, 200)]), 300))
+        for wide, total in domains:
+            expected = measures(wide, wide, total)
+            narrow = wide.astype(dtype)
+            for p, q in (
+                (narrow, narrow),
+                (narrow, wide),
+                (wide, narrow),
+                (narrow, wide.astype(np.uint64)),
+            ):
+                got = measures(p, q, total)
+                for m, values in expected.items():
+                    assert got[m].dtype == np.float64
+                    assert got[m].tobytes() == values.tobytes(), (dtype, m)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.uint16, np.uint32, np.int8, np.int32, np.uint64]
+    )
+    def test_every_integer_dtype_rejects_invalid_counts(self, dtype):
+        top = int(np.iinfo(dtype).max)
+        bad = [[(4, 0)], [(0, 4)], [(5, 1)], [(3, 1), (2, 1)], [(top, 1)], [(top, top)]]
+        if np.iinfo(dtype).min < 0:
+            bad += [[(5, -1)], [(-1, 5)]]
+        for rows in bad:
+            counts = np.array(rows, dtype)
+            for p, q in (counts, [(3, 1)]), ([(3, 1)], counts):
+                with pytest.raises(QuantumMismatch):
+                    measures(p, q, 4)
+        # uint64 past int64 wraps to a negative count, as a Python int past it clips
+        for rows in [(2**64 - 1, 5)], [(2**63, 2**63 + 4)]:
+            with pytest.raises(QuantumMismatch):
+                measures(np.array(rows, np.uint64), [(3, 1)], 4)
+
     def test_blocks_are_views_of_one_buffer(self):
         # 15/5 has 1,001 distributions: blocks of 16,384 // 1,001 = 16 rows,
         # the 63rd of 9; each is a (5, rows, 1001) view of the one buffer

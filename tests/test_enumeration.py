@@ -98,9 +98,34 @@ def test_deep_domains_need_no_recursion():
 def test_partition_matrix_equals_successor_rows(domains):
     for total, cells in domains:
         matrix = _partition_matrix(total, cells)
-        assert matrix.dtype == np.int64
+        assert matrix.dtype == narrowest_unsigned(total)
         assert matrix.shape == (count_ordered(total, cells), cells)
         assert [tuple(row) for row in matrix.tolist()] == list(_partitions(total, cells))
+
+
+def narrowest_unsigned(total):
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).max >= total)
+
+
+@pytest.mark.parametrize(
+    "total, cells, dtype",
+    [
+        (255, 2, np.uint8),
+        (256, 2, np.uint16),
+        (255, 4, np.uint8),  # 116,487 rows: the parent and step indices pass 16 bits
+        (256, 4, np.uint16),
+        (65535, 2, np.uint16),
+        (65536, 2, np.uint32),
+        (2**32 - 1, 1, np.uint32),
+        (2**32, 1, np.uint64),
+    ],
+)
+def test_partition_matrix_dtype_boundaries(total, cells, dtype):
+    # the counts are the narrowest unsigned dtype that holds the total
+    assert count_ordered(total, cells) * cells <= STUDY_BUDGET
+    matrix = _partition_matrix(total, cells)
+    assert matrix.dtype == dtype == narrowest_unsigned(total)
+    assert [tuple(row) for row in matrix.tolist()] == list(_partitions(total, cells))
 
 
 def test_ordered_yields_ordered_type():

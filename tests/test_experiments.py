@@ -401,6 +401,30 @@ class TestUniformStudy:
             expected = [fn(from_multiplicities(c), uniform) for c in study.counts.tolist()]
             assert study.values[name].tolist() == expected, name
 
+    @pytest.mark.parametrize(
+        "total, cells, dtype",
+        [
+            (255, 3, np.uint8),
+            (256, 2, np.uint16),
+            (256, 4, np.uint16),
+            (65535, 1, np.uint16),
+            (65536, 2, np.uint32),
+            (2**32 - 1, 1, np.uint32),
+            (2**32, 1, np.uint64),
+        ],
+    )
+    def test_narrow_counts_score_as_int64(self, total, cells, dtype):
+        # counts are the narrowest unsigned dtype that holds the total; the
+        # columns are the kernel's on an int64 copy, bit for bit
+        study = run_uniform_study(total, cells)
+        assert study.counts.dtype == dtype
+        wide = divergence.measures(
+            study.counts.astype(np.int64), [(total // cells,) * cells], total
+        )
+        wide["hellinger"] = wide.pop("hellinger_squared")
+        for m in MEASURES:
+            assert study.values[m].tobytes() == wide[m][:, 0].tobytes(), m
+
     def test_properties_attached(self, tmp_path):
         study = run_uniform_study(12, 6)
         path = write_uniform_study_csv(study, tmp_path / "study.csv")
@@ -503,7 +527,7 @@ class TestReferenceUniformStudy:
     @pytest.mark.parametrize(
         "run, bound",
         [
-            (lambda out: emit_tables(range(6, 11), (2, 3, 4, 5), out), 3.6 * 2**20),
+            (lambda out: emit_tables(range(6, 11), (2, 3, 4, 5), out), 1.7 * 2**20),
             (lambda out: run_rank_comparison(40, 10, out / "r.csv"), 1.2 * 2**20),
         ],
         ids=["tables", "rank-40-10"],
@@ -513,7 +537,8 @@ class TestReferenceUniformStudy:
         # Python floats took 2.6 MiB, as float64 arrays 0.6 MiB. Traced
         # peaks, lists -> arrays: tables 4.84 -> 4.31 MiB, rank 40/10
         # 1.48 -> 0.88 MiB. The tables then let each study go before the
-        # next is built, which is built leaner (below): 3.21 MiB
+        # next is built, which is built leaner (below): 3.21 MiB, then 2.84;
+        # with counts as narrow as the total, 1.52 MiB
         tracemalloc.start()
         try:
             run(tmp_path)
@@ -525,13 +550,13 @@ class TestReferenceUniformStudy:
     @pytest.mark.parametrize(
         "run, args, bound",
         [
-            (enumeration._partition_matrix, lambda: (50, 10), 2.7 * 2**20),
+            (enumeration._partition_matrix, lambda: (50, 10), 0.72 * 2**20),
             (
                 divergence.measures,
                 lambda: (enumeration._partition_matrix(50, 10), [(5,) * 10], 50),
-                1.75 * 2**20,
+                1.5 * 2**20,
             ),
-            (run_uniform_study, lambda: (60, 12), 13.5 * 2**20),
+            (run_uniform_study, lambda: (60, 12), 5 * 2**20),
             (property_columns, lambda: (run_uniform_study(60, 12).counts,), 20 * 2**20),
         ],
         ids=["partition-50-10", "measures-50-10", "study-60-12", "columns-60-12"],
@@ -544,7 +569,11 @@ class TestReferenceUniformStudy:
         # the kernel scoring straight into measures()' result, no block
         # buffer and no copy, 1.53 MiB. The 60/12 study's property columns,
         # 9.2 MiB of Python floats, peaked at 25.09 MiB with a whole-matrix
-        # copy and index; a column's at a time, 18.29 MiB
+        # copy and index; a column's at a time, 18.29 MiB. Counts as narrow
+        # as the total (uint8 here) take an eighth: the 50/10 matrix 0.16
+        # MiB, built in 0.64 MiB with narrow scratch, and the 60/12 study
+        # peaks at 4.38 MiB. measures() with no whole-array kl_max or opponent
+        # index, and the gathers landing in the jaccard slot, 1.34 MiB
         args = args()
         tracemalloc.start()
         try:
@@ -581,6 +610,15 @@ class TestRankComparison:
                     result.spearman[(b, a)], abs=1e-12
                 )
                 assert -1.0 - 1e-12 <= result.spearman[(a, b)] <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("total, cells", [(32, 8), (12, 3), (8, 2)])
+    def test_spearman_equals_pearson_of_ranks(self, tmp_path, total, cells):
+        # one set of co-moments gives every cell, bit for bit as pearson of
+        # each pair of rank columns, mirrored cells and diagonal included
+        result = run_rank_comparison(total, cells, tmp_path / "ranks.csv")
+        ranks = result.study.ranks()
+        expected = {(a, b): pearson(ranks[a], ranks[b]) for a in MEASURES for b in MEASURES}
+        assert list(result.spearman.items()) == list(expected.items())
 
     @pytest.mark.parametrize("total, cells", [(4, 4), (4, 1)])
     def test_one_distribution_leaves_spearman_empty(self, tmp_path, total, cells):
