@@ -3,12 +3,12 @@
 Unordered distributions over n cells with total M are the compositions of M
 into n positive parts; ordered ones are the partitions of M into exactly n
 parts. Both stream in lexicographically descending order of the multiplicity
-vector, and both counts are exact big integers. The successor generators run
-every check of an enumeration and yield the tuples that the enumerate_*
-generators wrap in validated objects; the pairwise sweep reads
-_compositions' tuples. The uniform study takes the partitions as one matrix
-from _partition_matrix, in the same order, its counts in the narrowest
-unsigned dtype that holds the total.
+vector, and both counts are exact big integers. One successor generator,
+_lex_parts, walks both kinds, runs every check of an enumeration and yields
+the tuples that the enumerate_* generators wrap in validated objects; the
+pairwise sweep reads its composition tuples. The uniform study takes the
+partitions as one matrix from _partition_matrix, in the same order, its
+counts in the narrowest unsigned dtype that holds the total.
 """
 
 from __future__ import annotations
@@ -63,36 +63,15 @@ def count_ordered(total: int, cells: int) -> int:
     return ways[free]
 
 
-def _compositions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
-    """Compositions in lex-descending order, one successor step at a time.
+def _lex_parts(total: int, cells: int, ordered: bool) -> Iterator[tuple[int, ...]]:
+    """Compositions, or partitions if ordered, in lex-descending order.
 
-    The successor of a composition lowers its rightmost non-final part that
-    is above 1 by one unit; the parts after it, all 1 but the last, become
-    the largest tail of the new sum: (last + 1, 1, ..., 1).
-    """
-    _check(total, cells)
-    check_budget(cells, CELLS_BUDGET, "cells")
-    parts = [total - cells + 1] + [1] * (cells - 1)
-    while True:
-        yield tuple(parts)
-        j = cells - 2
-        while j >= 0 and parts[j] == 1:
-            j -= 1
-        if j < 0:
-            return
-        parts[j] -= 1
-        last = parts[-1]
-        parts[-1] = 1
-        parts[j + 1] = last + 1
-
-
-def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
-    """Partitions into exactly cells parts in lex-descending order.
-
-    The successor lowers by one the rightmost part whose tail, one unit
-    larger, still fits under it; the tail is then refilled greedily, each
-    part as large as the lowered part and the positive parts after it
-    allow (after Knuth, TAOCP 4A, 7.2.1.4).
+    One successor rule for both (after Knuth, TAOCP 4A, 7.2.1.4): lower by
+    one the rightmost non-final part that can drop, then refill the parts
+    after it greedily, each as large as the cap and the positive parts after
+    it allow. A part can drop when it is above 1; a partition's part also
+    needs its tail, one unit larger, to fit under it. The lowered part caps
+    a partition's tail; a composition's has no cap.
     """
     _check(total, cells)
     check_budget(cells, CELLS_BUDGET, "cells")
@@ -101,13 +80,15 @@ def _partitions(total: int, cells: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
         j = cells - 2
         tail = parts[-1]
-        while j >= 0 and tail + 1 > (cells - 1 - j) * (parts[j] - 1):
+        while j >= 0 and (
+            parts[j] == 1 or ordered and tail + 1 > (cells - 1 - j) * (parts[j] - 1)
+        ):
             tail += parts[j]
             j -= 1
         if j < 0:
             return
         parts[j] -= 1
-        cap = parts[j]
+        cap = parts[j] if ordered else total
         left = tail + 1
         for i in range(j + 1, cells):
             part = min(cap, left - (cells - 1 - i))
@@ -121,7 +102,7 @@ def _narrow(top: int) -> np.dtype:
 
 
 def _partition_matrix(total: int, cells: int) -> np.ndarray:
-    """_partitions(total, cells) as one (count_ordered, cells) matrix of _narrow(total) counts.
+    """_lex_parts' partitions as one (count_ordered, cells) matrix of _narrow(total) counts.
 
     The rows come in the same lex-descending order, built one column at a
     time in the leading rows of the result: each partial row (dots left,
@@ -159,11 +140,11 @@ def _partition_matrix(total: int, cells: int) -> np.ndarray:
 
 def enumerate_unordered(total: int, cells: int) -> Iterator[QuantumDistribution]:
     """Yield every unordered quantum distribution once, lex-descending."""
-    for parts in _compositions(total, cells):
+    for parts in _lex_parts(total, cells, ordered=False):
         yield QuantumDistribution(parts)
 
 
 def enumerate_ordered(total: int, cells: int) -> Iterator[OrderedQuantumDistribution]:
     """Yield every ordered quantum distribution once, lex-descending."""
-    for parts in _partitions(total, cells):
+    for parts in _lex_parts(total, cells, ordered=True):
         yield OrderedQuantumDistribution(parts)

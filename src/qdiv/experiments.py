@@ -19,7 +19,7 @@ The uniform study enumerates straight into a (distributions, cells) count
 matrix of the narrowest unsigned dtype that holds the total, uint8 up to
 255 dots (enumeration._partition_matrix fills it in place), which the
 kernel reads as it is, and keeps it; the pairwise sweep stacks the
-multiplicity tuples of the _compositions successor generator into one. No
+composition tuples of the enumeration._lex_parts successor into one. No
 writer builds a distribution: the study CSV's shape properties come from
 the matrix, through stats.property_columns.
 The study's measure and rank columns stay the kernel's float64 arrays up to
@@ -44,7 +44,7 @@ import numpy as np
 
 from ._pairrows import write_pair_rows
 from .divergence import MEASURE_LABELS, _measure_blocks, measures
-from .enumeration import _check, _compositions, _partition_matrix, count_ordered, count_unordered
+from .enumeration import _check, _lex_parts, _partition_matrix, count_ordered, count_unordered
 from .errors import (
     CELLS_BUDGET,
     INT64_DOTS_BUDGET,
@@ -161,7 +161,7 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     pairs = count * count
     check_budget(pairs, PAIR_BUDGET, "pairs")
 
-    counts = np.array(list(_compositions(total, cells)))
+    counts = np.array(list(_lex_parts(total, cells, ordered=False)))
     summary = ColumnSummary(MEASURE_LABELS)
     with open(out_path, "wb") as fh:
         fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")

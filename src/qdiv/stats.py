@@ -218,10 +218,11 @@ def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     new[:1] = True
     np.not_equal(sorted_v[1:], sorted_v[:-1], out=new[1:])
     start = np.flatnonzero(new)
+    del sorted_v, new
     length = np.diff(start, append=v.size)
-    end = start + length - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, length)
+    # a run's 1-based ranks start + 1 .. start + length average to an exact half-integer
+    ranks[order] = np.repeat(start + 0.5 * (length + 1), length)
     return ranks
 
 

@@ -15,7 +15,7 @@ from qdiv import (
     enumerate_ordered,
     enumerate_unordered,
 )
-from qdiv.enumeration import _partition_matrix, _partitions
+from qdiv.enumeration import _lex_parts, _partition_matrix
 from qdiv.errors import CELLS_BUDGET, COUNT_BUDGET, PAIR_BUDGET, STUDY_BUDGET, check_budget
 
 
@@ -64,11 +64,15 @@ def test_enumeration_is_lex_descending():
 
 
 @pytest.mark.parametrize(
-    "total, cells", [(1, 1), (5, 1), (5, 5), (6, 2), (9, 3), (10, 4), (12, 4), (11, 5)]
+    "total, cells", [(total, cells) for total in range(1, 17) for cells in range(1, total + 1)]
 )
 def test_enumeration_matches_brute_force(total, cells):
+    # cells - 1 bars in the total - 1 gaps between the dots cut one composition
     compositions = sorted(
-        (c for c in itertools.product(range(1, total + 1), repeat=cells) if sum(c) == total),
+        (
+            tuple(b - a for a, b in zip((0,) + bars, bars + (total,)))
+            for bars in itertools.combinations(range(1, total), cells - 1)
+        ),
         reverse=True,
     )
     partitions = [c for c in compositions if list(c) == sorted(c, reverse=True)]
@@ -100,7 +104,8 @@ def test_partition_matrix_equals_successor_rows(domains):
         matrix = _partition_matrix(total, cells)
         assert matrix.dtype == narrowest_unsigned(total)
         assert matrix.shape == (count_ordered(total, cells), cells)
-        assert [tuple(row) for row in matrix.tolist()] == list(_partitions(total, cells))
+        rows = [tuple(row) for row in matrix.tolist()]
+        assert rows == list(_lex_parts(total, cells, ordered=True))
 
 
 def narrowest_unsigned(total):
@@ -125,7 +130,8 @@ def test_partition_matrix_dtype_boundaries(total, cells, dtype):
     assert count_ordered(total, cells) * cells <= STUDY_BUDGET
     matrix = _partition_matrix(total, cells)
     assert matrix.dtype == dtype == narrowest_unsigned(total)
-    assert [tuple(row) for row in matrix.tolist()] == list(_partitions(total, cells))
+    rows = [tuple(row) for row in matrix.tolist()]
+    assert rows == list(_lex_parts(total, cells, ordered=True))
 
 
 def test_ordered_yields_ordered_type():
