@@ -7,6 +7,7 @@ ZeroDivisionError from float arithmetic also exits 1; the measures give
 finite values for multiplicities of any size, so no known input reaches
 it. argparse keeps its native behavior of exiting with 2 on usage errors,
 which deliberately reads as "this run was too much to even start".
+Commands return their lines, and main alone prints them and picks the code.
 
 Cells are reported 1-based on the command line; library objects index
 them 0-based.
@@ -44,77 +45,76 @@ def _parse_cells_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    # both counts before any line, so a budget overrun prints none
-    unordered = count_unordered(args.dots, args.cells)
-    ordered = count_ordered(args.dots, args.cells)
-    print(f"unordered={unordered}")
-    print(f"ordered={ordered}")
-    return 0
+def _cmd_count(args: argparse.Namespace) -> list[str]:
+    return [
+        f"unordered={count_unordered(args.dots, args.cells)}",
+        f"ordered={count_ordered(args.dots, args.cells)}",
+    ]
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> list[str]:
     p = parse_distribution(args.p)
     q = parse_distribution(args.q)
     if args.rescale:
         p, q = make_comparable(p, q)
-    # all five run, so one that fails prints nothing, even under --measure jaccard
+    # all five run, so one that fails fails the command, even under --measure jaccard
     measured = (kl, kn, jsd, hellinger, jaccard_distance)
     values = {name: fn(p, q) for name, fn in zip(MEASURE_LABELS, measured)}
     wanted = MEASURE_LABELS if args.measure == "all" else (args.measure,)
-    for name in wanted:
-        print(f"{name}={values[name]:.6f}")
-    return 0
+    return [f"{name}={values[name]:.6f}" for name in wanted]
 
 
-def _cmd_maximize(args: argparse.Namespace) -> int:
+def _cmd_maximize(args: argparse.Namespace) -> list[str]:
     p = parse_distribution(args.p)
     result = build_maximizer(p)
-    print(f"maximizer={format_distribution(result.maximizer)}")
-    print(f"kl_max={result.max_divergence:.6f}")
-    print(f"argmin_cell={result.argmin_cell + 1}")
-    return 0
+    return [
+        f"maximizer={format_distribution(result.maximizer)}",
+        f"kl_max={result.max_divergence:.6f}",
+        f"argmin_cell={result.argmin_cell + 1}",
+    ]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> list[str]:
     report = verify_maximizer_sweep((args.dots, args.cells))
-    print(f"checked={report.checked}")
-    print(f"violations={len(report.violations)}")
-    print(f"max_gap={report.max_gap:.3e}")
-    return 0
+    return [
+        f"checked={report.checked}",
+        f"violations={len(report.violations)}",
+        f"max_gap={report.max_gap:.3e}",
+    ]
 
 
-def _cmd_pairwise(args: argparse.Namespace) -> int:
+def _cmd_pairwise(args: argparse.Namespace) -> list[str]:
     result = run_pairwise_experiment(args.dots, args.cells, args.out)
-    print(f"rows={result.rows_written}")
-    print(f"csv={result.out_path}")
-    print(f"summary={result.summary_path}")
-    return 0
+    return [
+        f"rows={result.rows_written}",
+        f"csv={result.out_path}",
+        f"summary={result.summary_path}",
+    ]
 
 
-def _cmd_uniform_study(args: argparse.Namespace) -> int:
+def _cmd_uniform_study(args: argparse.Namespace) -> list[str]:
     study = run_uniform_study(args.dots, args.cells)
     path = write_uniform_study_csv(study, args.out)
-    print(f"rows={len(study)}")
-    print(f"csv={path}")
-    return 0
+    return [f"rows={len(study)}", f"csv={path}"]
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _cmd_tables(args: argparse.Namespace) -> list[str]:
     table1, table2 = emit_tables(args.cells, args.multipliers, args.out_dir)
     # one max and one mean/max record per measure and (cells, dots) domain
-    print(f"records={2 * len(MEASURE_LABELS) * len(args.cells) * len(args.multipliers)}")
-    print(f"table1={table1}")
-    print(f"table2={table2}")
-    return 0
+    return [
+        f"records={2 * len(MEASURE_LABELS) * len(args.cells) * len(args.multipliers)}",
+        f"table1={table1}",
+        f"table2={table2}",
+    ]
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace) -> list[str]:
     result = run_rank_comparison(args.dots, args.cells, args.out)
-    print(f"rows={len(result.study)}")
-    print(f"csv={result.out_path}")
-    print(f"spearman={result.spearman_path}")
-    return 0
+    return [
+        f"rows={len(result.study)}",
+        f"csv={result.out_path}",
+        f"spearman={result.spearman_path}",
+    ]
 
 
 def _domain_command(sub, name: str, func, summary: str, out: bool = True):
@@ -186,14 +186,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        print(*args.func(args), sep="\n")
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 0

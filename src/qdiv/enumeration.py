@@ -96,13 +96,8 @@ def _lex_parts(total: int, cells: int, ordered: bool) -> Iterator[tuple[int, ...
             left -= part
 
 
-def _narrow(top: int) -> np.dtype:
-    """The smallest unsigned dtype that holds every int in [0, top]: uint8 up to 255, and so on."""
-    return np.min_scalar_type(top)
-
-
 def _partition_matrix(total: int, cells: int) -> np.ndarray:
-    """_lex_parts' partitions as one (count_ordered, cells) matrix of _narrow(total) counts.
+    """_lex_parts' partitions as one (count_ordered, cells) matrix of np.min_scalar_type(total).
 
     The rows come in the same lex-descending order, built one column at a
     time in the leading rows of the result: each partial row (dots left,
@@ -112,20 +107,20 @@ def _partition_matrix(total: int, cells: int) -> np.ndarray:
     extends to at least one full row, so no column is longer than the
     result. Each new partial row copies its parent's earlier parts. The
     per-depth scratch is as narrow as the counts, as no step leaves [0,
-    total], and the parent and step indices as the depth's row count. Its
-    caller, the uniform study, checks cells against CELLS_BUDGET and total
-    against INT64_DOTS_BUDGET.
+    total], and the parent and step indices as the depth's row count.
+    count_ordered checks the domain; the uniform study, its caller, checks
+    cells against CELLS_BUDGET and total against INT64_DOTS_BUDGET.
     """
-    matrix = np.empty((count_ordered(total, cells), cells), _narrow(total))  # checks the domain
+    matrix = np.empty((count_ordered(total, cells), cells), np.min_scalar_type(total))
     left = np.array([total], matrix.dtype)
     cap = left - (cells - 1)
     for d, c in enumerate(range(cells, 1, -1)):
         hi = np.minimum(cap, left - (c - 1))
         # (left - 1) // c + 1 is ceil(left / c) without negating an unsigned int
         sizes = (hi - ((left - 1) // c + 1)).astype(np.intp) + 1
-        parent = np.repeat(np.arange(len(left), dtype=_narrow(len(left))), sizes)
+        parent = np.repeat(np.arange(len(left), dtype=np.min_scalar_type(len(left))), sizes)
         # row k of the new column counts down from hi of its parent
-        step = np.arange(len(parent), dtype=_narrow(len(parent)))
+        step = np.arange(len(parent), dtype=np.min_scalar_type(len(parent)))
         step -= np.repeat((np.cumsum(sizes) - sizes).astype(step.dtype), sizes)
         # 1,024 rows at a time, bottom up: a parent row sits at or above its children
         for end in range(len(parent), 0, -1024):

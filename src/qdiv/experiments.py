@@ -24,7 +24,7 @@ writer builds a distribution: the study CSV's shape properties come from
 the matrix, through stats.property_columns.
 The study's measure and rank columns stay the kernel's float64 arrays up to
 the writer, which turns one chunk of rows at a time into Python values, and
-the tables, which read the maximum and the left-to-right mean off the arrays.
+the tables, which read the maximum and numpy's mean off the arrays.
 
 Convention note: the uniform-study pipeline (study, tables, ranks)
 reports the squared Hellinger distance under its "hellinger" column, the
@@ -129,16 +129,6 @@ def _f6(v: float | None) -> str:
     return "" if v is None else f"{v:.6f}"
 
 
-def _mean(values: np.ndarray | Sequence[float]) -> float:
-    """The left-to-right sum of values, from 0.0, over their count.
-
-    np.add.accumulate adds in order; ndarray.sum adds pairwise, and from
-    Python 3.12 on the builtin sum compensates float rounding, so either
-    would move the last bits, and a printed digit at worst.
-    """
-    return float(np.add.accumulate(np.append(0.0, values))[-1]) / len(values)
-
-
 def _write_text(path: Path, lines: Iterable[str]) -> None:
     """Write each line with its LF as it arrives, so a generator streams."""
     # newline="" so the explicit LF endings pass through untranslated
@@ -208,6 +198,10 @@ def run_uniform_study(total: int, cells: int) -> UniformStudy:
     distributions hold more than STUDY_BUDGET multiplicities in all, or
     when total passes INT64_DOTS_BUDGET. The study keeps the enumerated
     matrix that the kernel scored.
+
+    With H = H(P) in bits, M = total and n = cells, kl(P, U_n) = log2 n - H,
+    and build_maximizer's opponent has kl = log2 M - H - p_min log2(M - n + 1),
+    so kn(P, U_n) = (log2 n - H) / (log2 M - H - p_min log2(M - n + 1)).
     """
     _check_study(total, cells)
     counts = _partition_matrix(total, cells)
@@ -262,7 +256,8 @@ def emit_tables(
 ) -> tuple[Path, Path]:
     """Per-measure maxima (table1.csv) and mean/max ratios (table2.csv).
 
-    The mean includes the uniform distribution's own all-zero row. Table 2
+    The mean includes the uniform distribution's own all-zero row; a ratio
+    is gap_stats' mean_over_max of the measure's column, bit for bit. Table 2
     gains a final average row across all (cells, dots) experiments. Returns
     the paths of both tables. Every domain is checked before any is
     scored or out_dir is made.
@@ -282,14 +277,14 @@ def emit_tables(
         # argmax is the first of equal maxima, as the builtin max picks
         maxima = {m: float(values[values.argmax()]) for m, values in study.values.items()}
         ratios = {
-            m: _mean(values) / maxima[m] if maxima[m] else 0.0
+            m: float(values.mean()) / maxima[m] if maxima[m] else 0.0
             for m, values in study.values.items()
         }
         all_ratios.append(ratios)
         t1_lines.append(f"{cells},{dots}," + ",".join(_f6(maxima[m]) for m in TABLE_MEASURES))
         t2_lines.append(f"{cells},{dots}," + ",".join(_f6(ratios[m]) for m in TABLE_MEASURES))
         del study  # before the next one is built
-    averages = (_mean([r[m] for r in all_ratios]) for m in TABLE_MEASURES)
+    averages = (np.mean([r[m] for r in all_ratios]) for m in TABLE_MEASURES)
     t2_lines.append("avg,," + ",".join(map(_f6, averages)))
     table1, table2 = out_dir / "table1.csv", out_dir / "table2.csv"
     _write_text(table1, t1_lines)

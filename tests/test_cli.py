@@ -67,6 +67,38 @@ class TestCount:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+class TestModuleEntry:
+    # python3 -m qdiv in a fresh interpreter: a report on stdout, or one error line on stderr
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("count", "--dots", "15", "--cells", "5"), 0),
+            (("count", "--dots", "3", "--cells", "5"), 1),
+            (("count", "--dots", str(10**7), "--cells", "5"), 2),
+        ],
+        ids=["report", "invalid", "budget"],
+    )
+    def test_exit_code_and_streams(self, tmp_path, argv, code):
+        proc = run_fresh(tmp_path, *argv)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert (proc.stdout, proc.stderr) == ("unordered=1001\nordered=30\n", "")
+        else:
+            assert proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_closed_stdout_is_one_error_line(self):
+        # main prints inside its try, so an unwritable stdout exits 1 like any bad input
+        out, err = io.StringIO(), io.StringIO()
+        out.close()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["count", "--dots", "15", "--cells", "5"])
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 class TestCompare:
     def test_all_measures(self, capsys):
         code, out, _ = run(capsys, "compare", "--p", "2,1,1", "--q", "1,1,2")

@@ -36,7 +36,7 @@ from qdiv import (
     write_uniform_study_csv,
 )
 from qdiv import _pairrows, divergence, enumeration, experiments
-from qdiv.stats import ColumnSummary, fractional_ranks, property_columns
+from qdiv.stats import ColumnSummary, fractional_ranks, gap_stats, property_columns
 
 PAIRWISE_HEADER = "index_p,index_q,kl,kn,jsd,hellinger,jaccard"
 
@@ -488,17 +488,36 @@ class TestTables:
 
 
 class TestTableMeans:
-    def test_means_add_left_to_right(self):
-        # 1e16 + 1.0 rounds back to 1e16; a compensated sum, as the builtin
-        # sum is from Python 3.12 on, would give (1e16 + 2) / 3
-        assert experiments._mean([1e16, 1.0, 1.0]) == 1e16 / 3
+    def test_ratios_are_gap_stats_mean_over_max(self, tmp_path, monkeypatch):
+        # the unrounded figures as _f6 gets them: per domain the five maxima
+        # of table 1, then the five ratios of table 2, then the avg row
+        printed = []
+        monkeypatch.setattr(experiments, "_f6", lambda v: printed.append(v) or f"{v:.6f}")
+        domains = [(cells, cells * mult) for cells in range(6, 11) for mult in (2, 3, 4, 5)]
+        emit_tables(range(6, 11), (2, 3, 4, 5), tmp_path)
+        assert len(printed) == 10 * len(domains) + 5
+        for at, (cells, dots) in enumerate(domains):
+            study = run_uniform_study(dots, cells)
+            maxima, ratios = printed[10 * at : 10 * at + 5], printed[10 * at + 5 : 10 * at + 10]
+            for m, top, ratio in zip(MEASURES, maxima, ratios):
+                values = study.values[m]
+                assert float(top).hex() == max(values.tolist()).hex(), (cells, dots, m)
+                expected = gap_stats(values).mean_over_max
+                assert float(ratio).hex() == expected.hex(), (cells, dots, m)
 
-    def test_array_means_add_left_to_right(self):
-        # ndarray.sum adds blocks of eight pairwise, which keeps the ones:
-        # (1e16 + 99) / 100
-        values = np.array([1e16] + [1.0] * 99)
-        assert experiments._mean(values) == 1e16 / 100
-        assert experiments._mean(values) != values.sum() / 100
+    @pytest.mark.parametrize("total, cells", [(32, 8), (60, 12), (256, 4)])
+    def test_kn_column_is_the_closed_form(self, total, cells):
+        # run_uniform_study's docstring: kn(P, U_n) = (log2 n - H) /
+        # (log2 M - H - p_min log2(M - n + 1)), here in math from the counts;
+        # near-uniform rows cancel, so the bound is absolute, not in ulps
+        study = run_uniform_study(total, cells)
+        expected = []
+        for row in study.counts.tolist():
+            ps = [k / total for k in row]
+            h = -sum(p * math.log2(p) for p in ps)
+            den = math.log2(total) - h - min(ps) * math.log2(total - cells + 1)
+            expected.append((math.log2(cells) - h) / den)
+        assert np.abs(study.values["kn"] - expected).max() <= 1e-15
 
 
 class TestTableSweepInvariants:

@@ -470,6 +470,21 @@ class TestColumnSummary:
         # same keys in the same order; NaN never occurs on these finite inputs
         assert list(summary.correlations().items()) == list(expected.items())
 
+    def test_empty_block_changes_nothing(self):
+        summary = ColumnSummary(["x", "y"])
+
+        def state():
+            arrays = (summary.means, summary.comoments, summary.maxima, *summary.distinct)
+            return summary.count, [a.tobytes() for a in arrays], summary.correlations()
+
+        empty = state()
+        summary.add(np.zeros((2, 0)))
+        assert state() == empty
+        summary.add(np.array([[1.0, 2.0, 4.0], [3.0, 1.0, 2.0]]))
+        folded = state(), summary.gap_stats()
+        summary.add(np.zeros((2, 0)))
+        assert (state(), summary.gap_stats()) == folded
+
     def test_zero_variance_column_drops_its_pairs(self):
         summary = ColumnSummary(["x", "flat", "y"])
         summary.add(np.array([[1.0, 2.0, 4.0], [0.5, 0.5, 0.5], [3.0, 1.0, 2.0]]))
