@@ -276,14 +276,29 @@ def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
     out = np.empty((5, a, len(cq))) if whole else None
     buffer = None if whole else np.empty((5, step, len(cq)))
     index, maxima = np.empty((step, len(cq)), np.int64), np.empty(step)
+    # for the first minimal cells: keys below total + 2n, in the narrowest dtype that
+    # holds them, or in the counts' own if wider, which then holds them too
+    held = np.min_scalar_type(total + 2 * n)
+    keys = np.empty((2, step), cp.dtype if cp.dtype.itemsize > held.itemsize else held)
+    cap = total // n + 1
     for start in range(0, a, step):
         rows, size = slice(start, start + step), min(step, a - start)
         block = out[:, rows] if whole else buffer[:, :size]
         (kl, kn, jsd, he, jaccard), at, kl_max = block, index[:size], maxima[:size]
         # each sum adds cell 0, 1, ... to 0.0, as the loops do
         kl[:] = jsd[:] = he[:] = kl_max[:] = 0.0
-        # kl against build_maximizer's opponent: big on the first minimal cell, 1 elsewhere
-        low = cp[rows].argmin(axis=1)
+        # kl against build_maximizer's opponent: big on the first minimal cell, 1 elsewhere.
+        # That cell is the running minimum of count * n + cell over the cells, modulo
+        # n; counts clip at cap, above any row's least count. Every count in [1, total]
+        # fits the keys' dtype, so the unsafe cast keeps it
+        key, low = keys[:, :size]
+        key[:] = np.iinfo(key.dtype).max
+        for c in range(n):
+            np.minimum(cp[rows, c], cap, out=low, dtype=low.dtype, casting="unsafe")
+            low *= n
+            low += c
+            np.minimum(key, low, out=key)
+        np.remainder(key, n, out=low)
         for c in range(n):
             pi = np.searchsorted(kp_values, cp[rows, c])
             pi *= width

@@ -104,17 +104,27 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _moments(
-    columns: np.ndarray, out: np.ndarray | None = None
+    columns: np.ndarray, out: np.ndarray | None = None, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Of (k, size) columns: row means, np.sum of centred products (no BLAS), centred rows.
 
-    The centred rows go to out if given; out=columns centres in place.
+    With a (size,) vector of weights, each entry counts weight times in the
+    means and co-moments; without, the means are mean(axis=1). The centred
+    rows go to out if given; out=columns centres in place.
     """
-    means = columns.mean(axis=1)
+    k, size = columns.shape
+    product = np.empty(size)
+    if weights is None:
+        means = columns.mean(axis=1)
+    else:
+        total = np.sum(weights)
+        means = np.array([np.sum(np.multiply(x, weights, out=product)) for x in columns]) / total
+        scaled = np.empty(size)
     centred = np.subtract(columns, means[:, None], out=out)
-    k = len(columns)
-    comoments, product = np.empty((k, k)), np.empty(columns.shape[1])
+    comoments = np.empty((k, k))
     for i, x in enumerate(centred):
+        if weights is not None:
+            x = np.multiply(x, weights, out=scaled)
         for j in range(i, k):
             comoments[i, j] = comoments[j, i] = np.sum(np.multiply(x, centred[j], out=product))
     return means, comoments, centred
@@ -148,6 +158,13 @@ class ColumnSummary:
     Golub and LeVeque (1983), which may move the last bits. Maxima merge by
     max and distinct values by union, exactly, once the blocks' waiting
     distinct values are as many as the merged ones, not at every block.
+
+    A block may come with a weight per entry: the summary is then of the
+    multiset that holds each entry weight times. The count becomes the
+    weight total, means and co-moments are weighted, the merge is the same
+    update with counts read as weight totals, and maxima and distinct values
+    ignore the weights, as a multiset's do. The pairwise sweep folds its
+    partition rows this way, each weighted by its orbit's size.
     """
 
     def __init__(self, names: Iterable[str]):
@@ -166,12 +183,16 @@ class ColumnSummary:
             sets[:] = [_distinct(np.concatenate(sets))]
         return [sets[0] for sets in self._sets]
 
-    def add(self, columns: np.ndarray) -> None:
-        """Fold in one block of rows: row i of the (k, size) array holds the block's names[i]."""
-        size = columns.shape[1]
-        if size == 0:
+    def add(self, columns: np.ndarray, weights: np.ndarray | None = None) -> None:
+        """Fold in one block of rows: row i of the (k, size) array holds the block's names[i].
+
+        weights, a (size,) float64 vector, weighs each entry in the count,
+        means and co-moments; the block then counts as its weight total.
+        """
+        if columns.shape[1] == 0:
             return
-        means, comoments, centred = _moments(columns)
+        size = columns.shape[1] if weights is None else float(np.sum(weights))
+        means, comoments, centred = _moments(columns, weights=weights)
         # the rounded block goes where the centred one was; _distinct sorts each row in place
         for sets, row in zip(self._sets, np.round(columns, 12, out=centred)):
             sets.append(_distinct(row))

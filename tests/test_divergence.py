@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -306,6 +307,29 @@ class TestBatchedKernel:
         ):
             assert values[name].shape == (2, 1)
             assert values[name][:, 0].tolist() == [fn(p, q), fn(q, q)], name
+
+    @pytest.mark.parametrize(
+        "total, rows",
+        [
+            (16, sorted(set(itertools.permutations((7, 2, 3, 2, 2))))),
+            (16, sorted(set(itertools.permutations((7, 1, 5, 1, 2))))),
+            # uint8 counts whose keys, up to total + 2n, need uint16
+            (250, sorted(set(itertools.permutations((101, 52, 47, 25, 25))))),
+            # a count near 2**62 times four cells passes int64 unless clipped
+            (2**62 - 1, sorted(set(itertools.permutations((2, 3, 2, 2**62 - 8))))),
+        ],
+    )
+    def test_first_minimal_cell_of_tied_rows(self, total, rows):
+        # the kn normalizer puts build_maximizer's block on the first of the
+        # tied minimal cells; on these rows another cell adds the same terms
+        # in another order, to other bits
+        dists = [from_multiplicities(r) for r in rows]
+        expected = [[kn(p, q) for q in dists] for p in dists]
+        for counts in [np.array(rows, dtype=np.int64)] + (
+            [np.array(rows, dtype=np.uint8)] if total < 256 else []
+        ):
+            with mock.patch.object(divergence, "_BLOCK", 3 * len(rows)):
+                assert measures(counts, rows, total)["kn"].tolist() == expected
 
     def test_single_cell_totals_up_to_int64(self):
         # distinct counts are sorted, not binned: no table as long as the total

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -154,6 +156,7 @@ class TestPairwise:
 
     @pytest.mark.parametrize("total, cells", [(8, 3), (11, 8)])
     def test_correlations_equal_pearson(self, tmp_path, pairwise_grid, total, cells):
+        # the summary's weighted moments round otherwise in the last bits
         result = run_pairwise_experiment(total, cells, tmp_path / "p.csv")
         values = pairwise_grid(total, cells)
         expected = {
@@ -161,7 +164,9 @@ class TestPairwise:
             for i, a in enumerate(MEASURE_LABELS)
             for b in MEASURE_LABELS[i + 1 :]
         }
-        assert result.correlations == expected
+        assert result.correlations.keys() == expected.keys()
+        for key, rho in result.correlations.items():
+            assert rho == pytest.approx(expected[key], rel=1e-12), key
 
     def test_single_distribution_domain(self, tmp_path):
         out = tmp_path / "one.csv"
@@ -190,14 +195,19 @@ class TestSweepBlocks:
         self, tmp_path, pairwise_grid, total, cells, rows
     ):
         # blocks of one or three index_p rows; at one, 47/2's str.format rows
-        # each start a block
+        # each start a block. The summary folds the blocks that hold a
+        # partition (a row whose parts do not increase), once each
         default = run_pairwise_experiment(total, cells, tmp_path / "default.csv")
         count = count_unordered(total, cells)
         values = pairwise_grid(total, cells)
+        partitions = [
+            i for i, d in enumerate(enumerate_unordered(total, cells))
+            if list(d.multiplicities) == sorted(d.multiplicities, reverse=True)
+        ]
         fold = mock.patch.object(ColumnSummary, "add", autospec=True, side_effect=ColumnSummary.add)
         with mock.patch.object(divergence, "_BLOCK", rows * count), fold as add:
             blocked = run_pairwise_experiment(total, cells, tmp_path / "blocked.csv")
-        assert add.call_count == -(-count // rows)
+        assert add.call_count == len({i // rows for i in partitions})
         assert blocked.out_path.read_bytes() == default.out_path.read_bytes()
         assert blocked.summary_path.read_bytes() == default.summary_path.read_bytes()
         assert blocked.correlations.keys() == default.correlations.keys()
@@ -218,7 +228,7 @@ class TestSweepBlocks:
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path, total, cells):
         # 511,225, 1,002,001 and 1,656,369 pairs, whose five whole float64
         # columns alone would take 19.5, 38.2 and 63.2 MiB; one block's take
-        # 0.6 MiB. Traced peaks 2.9, 3.1 and 3.0 MiB
+        # 0.6 MiB. Traced peaks 2.8, 2.9 and 2.8 MiB
         tracemalloc.start()
         try:
             run_pairwise_experiment(total, cells, tmp_path / "p.csv")
@@ -226,6 +236,85 @@ class TestSweepBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def compositions(total, cells):
+    """Every composition of total into cells positive parts, from the cut points between them."""
+    for cuts in itertools.combinations(range(1, total), cells - 1):
+        edges = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+def exact_distinct(total, cells):
+    """The exact count of distinct kl and of distinct jaccard values over every pair.
+
+    kl(P, Q) is log2(prod k_i^k_i / prod q_i^k_i) / total, one value per
+    distinct fraction, and jaccard is decreasing in the integer sum of
+    minima. Both are invariant when P and Q permute their cells together, so
+    P ranges over the partitions and Q over every composition.
+    """
+    qs = list(compositions(total, cells))
+    ps = [p for p in qs if list(p) == sorted(p, reverse=True)]
+    ratios = {
+        Fraction(math.prod(k**k for k in p), math.prod(q**k for k, q in zip(p, q)))
+        for p in ps for q in qs
+    }
+    minima = {sum(map(min, p, q)) for p in ps for q in qs}
+    return len(ratios), len(minima)
+
+
+class TestOrbitSummary:
+    def test_orbit_sizes_add_up_to_the_pairs(self):
+        # every domain of up to 16 dots: the partition rows are enumerate_ordered's,
+        # and their per-pair weights add up to N**2
+        for total in range(1, 17):
+            for cells in range(1, total + 1):
+                counts = np.array(list(enumeration._lex_parts(total, cells, ordered=False)))
+                partitions, sizes = experiments._orbits(counts)
+                count = len(counts)
+                assert np.repeat(sizes, count).sum() == count**2, (total, cells)
+                assert counts[partitions].tolist() == [
+                    list(d.multiplicities) for d in enumerate_ordered(total, cells)
+                ]
+
+    @pytest.mark.parametrize(
+        "total, cells", [(5, 1), (4, 4), (6, 3), (8, 3), (10, 4), (11, 5), (11, 8), (12, 6), (47, 2)]
+    )
+    def test_summary_equals_the_whole_grid(self, tmp_path, pairwise_grid, total, cells):
+        # the orbit summary against one unweighted fold of all N**2 pairs
+        folds = []
+
+        def summary(names):
+            folds.append(ColumnSummary(names))
+            return folds[-1]
+
+        with mock.patch.object(experiments, "ColumnSummary", side_effect=summary):
+            result = run_pairwise_experiment(total, cells, tmp_path / "p.csv")
+        values = pairwise_grid(total, cells)
+        whole = ColumnSummary(MEASURE_LABELS)
+        whole.add(np.array([values[m] for m in MEASURE_LABELS]))
+        (orbit,) = folds
+        assert orbit.count == whole.count == len(values["kl"])
+        assert result.correlations.keys() == whole.correlations().keys()
+        for key, rho in result.correlations.items():
+            assert rho == pytest.approx(whole.correlations()[key], rel=1e-12), key
+        assert (np.abs(orbit.maxima - whole.maxima) <= np.spacing(whole.maxima)).all()
+        expected = experiments._summary_lines(whole.correlations(), whole.gap_stats())
+        assert read_lines(result.summary_path) == expected
+
+    @pytest.mark.parametrize(
+        "total, cells",
+        [(t, c) for t in range(1, 13) for c in range(1, t + 1)] + [(23, 3)],
+    )
+    def test_distinct_counts_equal_exact_keys(self, tmp_path, total, cells):
+        # 9/4 and 23/3 hold values that the whole grid splits into two
+        # entries at 12 decimals (119 and 8,662 kl values); each has 118 and
+        # 8,661 exact ones
+        gaps = run_pairwise_experiment(total, cells, tmp_path / "p.csv").gaps
+        assert (gaps["kl"].distinct_count, gaps["jaccard"].distinct_count) == exact_distinct(
+            total, cells
+        )
+
 
 def _near_half(units: int, micro: int, ulps: int) -> float:
     """The double nearest units.micro5, moved by ulps units in the last place."""

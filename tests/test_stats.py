@@ -470,6 +470,53 @@ class TestColumnSummary:
         # same keys in the same order; NaN never occurs on these finite inputs
         assert list(summary.correlations().items()) == list(expected.items())
 
+    @given(column_sets.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_unweighted_block_equals_gap_stats_and_pearson(self, columns):
+        # the unweighted path keeps its bits, and unit weights change none of them
+        names = [f"c{k}" for k in range(len(columns))]
+        block = np.array(columns, dtype=np.float64)
+        plain, unit = ColumnSummary(names), ColumnSummary(names)
+        plain.add(block)
+        unit.add(block, np.ones(block.shape[1]))
+        assert plain.gap_stats() == {n: gap_stats(c) for n, c in zip(names, columns)}
+        expected = {}
+        for i, a in enumerate(names):
+            for j in range(i + 1, len(names)):
+                rho = pearson_or_none(columns[i], columns[j])
+                if rho is not None:
+                    expected[(a, names[j])] = rho
+        assert plain.correlations() == expected
+        assert (unit.count, unit.means.tobytes(), unit.comoments.tobytes()) == (
+            plain.count, plain.means.tobytes(), plain.comoments.tobytes()
+        )
+        assert (unit.correlations(), unit.gap_stats()) == (expected, plain.gap_stats())
+
+    @given(split_columns(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weights_count_entries_as_repeats(self, drawn, data):
+        # a weighted fold, over blocks, equals one unweighted fold of each entry
+        # repeated weight times: exactly in count, maxima and distinct values,
+        # to the last bits in the moments
+        columns, edges = drawn
+        size = len(columns[0])
+        draw = st.lists(st.integers(1, 6), min_size=size, max_size=size)
+        weights = np.array(data.draw(draw), dtype=np.float64)
+        names = [f"c{k}" for k in range(len(columns))]
+        weighted, repeated = ColumnSummary(names), ColumnSummary(names)
+        for lo, hi in zip(edges, edges[1:]):
+            weighted.add(np.array([c[lo:hi] for c in columns]), weights[lo:hi])
+        repeated.add(np.repeat(np.array(columns), weights.astype(int), axis=1))
+        assert weighted.count == repeated.count == weights.sum()
+        assert weighted.maxima.tobytes() == repeated.maxima.tobytes()
+        # equal as values: which of -0.0 and 0.0 heads its run is the sort's choice
+        assert [d.tolist() for d in weighted.distinct] == [d.tolist() for d in repeated.distinct]
+        assert weighted.means == pytest.approx(repeated.means, rel=1e-12, abs=1e-12)
+        got, whole = weighted.correlations(), repeated.correlations()
+        assert got.keys() == whole.keys()
+        for key, rho in got.items():
+            assert rho == pytest.approx(whole[key], rel=1e-12, abs=1e-12)
+
     def test_empty_block_changes_nothing(self):
         summary = ColumnSummary(["x", "y"])
 
