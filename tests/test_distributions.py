@@ -116,8 +116,11 @@ class TestMakeComparable:
 
 class TestCachedTotal:
     def test_total_is_a_property(self):
-        # summed once in __post_init__, read through the class's property
+        # summed once in __post_init__ into _total, which divergence's cell loop
+        # reads directly; perfbench/spans.py counts reads by wrapping this fget
         assert isinstance(QuantumDistribution.__dict__["total"], property)
+        d = from_multiplicities([10**400, 3, 1])
+        assert QuantumDistribution.__dict__["total"].fget(d) is d._total
 
     def test_enumerated_and_ordered(self):
         from qdiv import enumerate_ordered, enumerate_unordered

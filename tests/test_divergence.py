@@ -93,6 +93,17 @@ def assert_equals_reference(p, q):
 TOP = divergence._TABLE_TOP
 
 
+def table_builds():
+    """Term tables built so far for the scalar measures."""
+    return divergence._term_rows.cache_info().misses
+
+
+def clear_tables():
+    """Forget every term table: _term_rows' cache and each term's slot in front of it."""
+    divergence._term_rows.cache_clear()
+    divergence._last_rows.update(dict.fromkeys(divergence._last_rows, (0, ())))
+
+
 class TestWorkedExamples:
     def setup_method(self):
         self.p = from_multiplicities([2, 1, 1])
@@ -251,16 +262,65 @@ class TestScalarLoop:
         big = 10**400
         for counts in ([big, 1], [1, big]), ([TOP + 1, 1, 1], [1, 1, TOP + 1]):
             p, q = map(from_multiplicities, counts)
-            misses = divergence._term_rows.cache_info().misses
+            builds = table_builds()
             for measure in (kl, kn, jsd, hellinger_squared):
                 measure(p, q)
-            assert divergence._term_rows.cache_info().misses == misses, counts
+            assert table_builds() == builds, counts
         # at top == TOP the first call builds kl's table and the next reads it
-        divergence._term_rows.cache_clear()
+        # from kl's slot, with no lookup in _term_rows' cache
+        clear_tables()
         p, q = from_multiplicities([TOP, 1, 1]), from_multiplicities([1, 1, TOP])
         assert kl(p, q) == kl(q, p)
         info = divergence._term_rows.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+
+    def test_table_extends_as_the_top_grows(self):
+        # one total with fewer cells each time: each term's table grows to the
+        # new top, and then serves the smaller top it started at
+        clear_tables()
+        for cells in 6, 3, 2, 6, 3:
+            ds = list(enumerate_unordered(20, cells))
+            for p, q in zip(ds, reversed(ds)):
+                assert_equals_reference(p, q)
+        assert table_builds() == 3 * 3  # three terms at tops 15, 18 and 19
+
+    @pytest.mark.parametrize(
+        "measure, reference",
+        [
+            (kl, reference_kl),
+            (jsd, lambda p, q: 0.5 * reference_sum(p, q, _jsd_term)),
+            (hellinger_squared, lambda p, q: 0.5 * reference_sum(p, q, _hellinger_term)),
+        ],
+    )
+    def test_totals_in_alternation_build_once_each(self, measure, reference):
+        # four totals in turn, as _term_rows' cache holds: one build per total
+        clear_tables()
+        domains = [list(enumerate_unordered(m, 3)) for m in (9, 12, 17, 30)]
+        for row in zip(*domains):  # one distribution of each total in turn
+            for p in row:
+                q = from_multiplicities(p.multiplicities[::-1])
+                assert measure(p, q) == reference(p, q), (p, q)
+        assert table_builds() == 4
+
+    def test_past_the_bound_and_back(self):
+        # past the bound each term is called, and the tables read at top TOP stay as they were
+        m = TOP + 2
+        clear_tables()
+        for counts in (m - 2, 1, 1), (m - 1, 1), (10**400, 1), (1, 1, m - 2), (1, m - 1):
+            assert_equals_reference(*map(from_multiplicities, (counts, counts[::-1])))
+        assert table_builds() == 3
+
+    def test_left_to_right_order_is_pinned(self):
+        # math.fsum of these terms, or a compensated sum(), ends in another bit
+        for measure, term, p, q, bits in (
+            (kl, _kl_term, (4, 2, 1, 1), (3, 1, 2, 2), "0x1.a8ff971810a5cp-3"),
+            (jsd, _jsd_term, (5, 1, 1, 1), (2, 2, 2, 2), "0x1.b188ca78a7f4ap-4"),
+            (hellinger_squared, _hellinger_term, (5, 1, 1, 1), (3, 2, 2, 1),
+             "0x1.31c17418baacfp-5"),
+        ):
+            assert measure(from_multiplicities(p), from_multiplicities(q)).hex() == bits
+            half = 1.0 if measure is kl else 0.5
+            assert (half * math.fsum(map(term, p, q, [8] * 4))).hex() != bits, measure
 
     def test_jsd_of_underflowing_cells(self):
         # 2 / m and 1 / m are both 0.0 here, as is the true term (about 1e-400)
