@@ -4,30 +4,46 @@ The rows are those of "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\\n" for every
 (index_p, index_q) pair, byte for byte, without a str.format call per row.
 For one index_p, the index_q values fall into at most four runs of equal
 digit count (0-9, 10-99, 100-999, 1000 up), and while every value prints as
-d.dddddd, all rows of one run have the same width. A call gets one block of
-whole index_p rows, a (measures, pairs) view of the kernel's block (see
-divergence._measure_blocks, whose _BLOCK of 16,384 pairs was measured faster
-than 8,192 and leaner than 32,768), and writes it whole, one part per run of
-equal index_p width. A part is one uint8 buffer of shape (index_p rows,
-bytes per index_p row); each index_q run is a strided view of it, a slab of
-shape (index_p rows, run length, row width). The slabs are filled a measure
-at a time, and the buffer goes to the file as it is, unmasked and ungathered.
+d.dddddd, all rows of one run have the same width.
 
-The "{i}," and "{j}," prefixes are copied from byte tables of the indices,
-broadcast along the other axis. A value is rounded to micro-units with
-np.rint(v * 1e6); its integer digit goes in as one byte, and its six
-fraction digits three at a time, each group as one 4-byte word from a
-1,000-entry uint32 table, stored little-endian through a "<u4" view of four
-slab columns. The first word holds the "." and three digits, the second
-three digits and the "," or "\\n" after the value, so every byte of a row
-is written and the buffer needs no constant columns.
+A PairRowWriter writes one sweep. Each write gets one block of whole index_p
+rows, a (5, pairs) view of the kernel's block (see divergence._measure_blocks,
+whose _BLOCK of 16,384 pairs was measured faster than 8,192 and leaner than
+32,768), and writes it whole, one part per run of equal index_p width, a
+chunk of whole index_p rows, up to _CHUNK pairs, at a time. The writer owns
+one uint8 row buffer, which holds a chunk as (index_p rows, bytes per index_p
+row); each index_q run is a strided view of it, a slab of shape (index_p
+rows, run length, row width). It also owns the scratch that the digits are
+made in. Both are allocated with the writer, for one chunk, and reused by
+every chunk, so no block allocates an array; they go when the sweep drops
+the writer. At 15/5 a chunk of 8,192 pairs, half a kernel block, takes a
+0.4 MB row buffer and 0.2 MB of scratch; a writer that held a whole block
+read 0.7 MB more peak RSS for 4 ms less time.
+
+The "{j}," index_q bytes and the "," or "\\n" after each value are the same in
+every chunk, so they are written when the index_p width changes, at most
+four times a sweep. A chunk writes the rest of each row: the "{i}," prefix,
+from a byte table of the indices broadcast along index_q, and the values, a
+measure at a time. The buffer goes to the file as it is, unmasked and
+ungathered.
+
+A value is rounded to micro-units with np.rint(v * 1e6), and the integer,
+below 10**7, goes in as one 8-byte word "d.dddddd", stored little-endian
+through a "<u8" view of the eight slab columns before its "," or "\\n". The
+word is the sum of two table entries with no byte in common: "d.ddd" of
+micro // 1000 (10,000 entries) in its low five bytes and the digits of
+micro % 1000 (1,000 entries) in its high three. The table indices are intp,
+which take reads as they are (int32 ones it would first convert into a new
+array), and every ufunc writes into the scratch with out=.
 
 Below 10 the float product v * 1e6 is within 1e-9 of the exact one, so the
 result equals format(v, ".6f") (correctly rounded from the exact binary
 value) wherever v * 1e6 lies more than _HALF_WINDOW from a half. A row with a
 cell nearer a half, negative (-0.0 too), not finite or rounding to 10 or
-more is formatted by _PAIR_ROW instead; each run of such rows is gathered,
-formatted and written as one string between the buffer pieces around it.
+more is formatted by _PAIR_ROW instead; each run of such rows in a chunk is
+gathered, formatted and written as one string between the buffer pieces
+around it. Such a cell's word is never written out, so its table indices
+are only clipped into range.
 
 The module is private to the package: experiments calls it for the one CSV
 whose row count is quadratic.
@@ -42,14 +58,22 @@ import numpy as np
 
 _HALF_WINDOW = 1e-6
 _PAIR_ROW = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\n".format
-_VALUE_WIDTH = len("0.000000,")
+_WORD = len("0.000000")
+_VALUE_WIDTH = _WORD + 1  # the word and the "," or "\n" after it
+_MEASURES = 5  # the values of a row, as _PAIR_ROW prints them
+_CHUNK = 1 << 13  # pairs a chunk holds, or one index_p row's if more
 
 
-# built on first use and kept: a sweep calls write_pair_rows once per block
+# built on first use and kept: every block of every sweep reads them
 @cache
-def _words(template: str) -> np.ndarray:
-    """Entry k: the 4 ASCII bytes of template.format(k) as one little-endian word."""
-    return np.frombuffer("".join(map(template.format, range(1000))).encode(), "<u4")
+def _halves() -> tuple[np.ndarray, np.ndarray]:
+    """The word tables: "d.ddd" of k < 10**4 in bytes 0-4, "ddd" of k < 1000 in bytes 5-7."""
+    ddd = np.frombuffer("".join(f"{k:03d}" for k in range(1000)).encode(), np.uint8)
+    high, low = np.zeros((10, 1000, _WORD), np.uint8), np.zeros((1000, _WORD), np.uint8)
+    high[..., 0] = np.arange(ord("0"), ord("9") + 1)[:, None]
+    high[..., 1] = ord(".")
+    high[..., 2:5] = low[:, 5:] = ddd.reshape(1000, 3)
+    return high.view("<u8").ravel(), low.view("<u8").ravel()
 
 
 @lru_cache(maxsize=4)  # a sweep has at most four index runs
@@ -59,74 +83,129 @@ def _index_bytes(lo: int, hi: int) -> np.ndarray:
     return np.frombuffer(text, np.uint8).reshape(hi - lo, -1)
 
 
-def _digits(v: np.ndarray, dot: np.ndarray, after: np.ndarray):
-    """Which cells print as d.dddddd; their integer digit byte and two words."""
-    scaled = v * 1e6
-    rounded = np.rint(scaled)
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test as inf does
-        ok = ~np.signbit(v) & (rounded < 1e7) & (np.abs(scaled - rounded) < 0.5 - _HALF_WINDOW)
-    if not ok.all():
-        rounded[~ok] = 0.0  # nan and inf would not cast; _PAIR_ROW prints these rows
-    micro = rounded.astype(np.int32)
-    thousands, units = micro // 1000, micro // 1000000
-    return ok, units + 48, dot.take(thousands - units * 1000), after.take(micro - thousands * 1000)
+class PairRowWriter:
+    """The CSV rows of a count x count sweep, to a binary file, a kernel block a call.
+
+    The writer owns the sweep's row buffer and scratch (module docstring);
+    they go when it does.
+    """
+
+    def __init__(self, fh: BinaryIO, count: int) -> None:
+        self.fh, self.count = fh, count
+        bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
+        self.runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        self.step = min(count, max(1, _CHUNK // count))  # index_p rows a chunk
+        self.buffer = np.empty(self.step * self._row_width(self.runs[-1][2].shape[1]), np.uint8)
+        pairs = self.step * count
+        self.floats = np.empty((3, pairs))  # scaled, rounded, word; the ints share the first two
+        self.flags = np.empty((2, pairs), bool)  # each pair's row is ok; one cell's test
+        self.layout = None  # the index_p width the buffer holds constant bytes for, and views
+
+    def write(self, columns: np.ndarray, first: int) -> None:
+        """The rows of whole index_p rows first, first + 1, ..., in row-major pair order.
+
+        columns is (5, pairs); the bytes equal _PAIR_ROW's for every pair.
+        """
+        count = self.count
+        end = first + columns.shape[1] // count
+        for lo, hi, p_index in self.runs:
+            i, j = max(first, lo), min(end, hi)
+            if i < j:
+                _write_block(self, columns, (i - first) * count, first * count,
+                             p_index[i - lo : j - lo])
+
+    def _row_width(self, width_p: int) -> int:
+        """The bytes of one index_p row whose prefix "{i}," takes width_p bytes."""
+        q_bytes = sum((hi - lo) * q_index.shape[1] for lo, hi, q_index in self.runs)
+        return self.count * (width_p + _MEASURES * _VALUE_WIDTH) + q_bytes
+
+    def _slabs(self, width_p: int):
+        """The buffer laid out for index_p prefixes of width_p bytes, its constant bytes written.
+
+        Returns the index_p row width, (lo, hi, prefix view, word view) per
+        index_q run, and where each index_q's row starts in an index_p row.
+        """
+        if self.layout is None or self.layout[0] != width_p:
+            width = self._row_width(width_p)
+            table = self.buffer[: self.step * width].reshape(self.step, width)
+            ends = np.frombuffer(b"," * (_MEASURES - 1) + b"\n", np.uint8)
+            slabs, starts, at = [], [], 0
+            for lo, hi, q_index in self.runs:
+                row = width_p + q_index.shape[1] + _MEASURES * _VALUE_WIDTH
+                slab = table[:, at : at + (hi - lo) * row].reshape(self.step, hi - lo, row)
+                slab[:, :, width_p : row - _MEASURES * _VALUE_WIDTH] = q_index
+                values = slab[:, :, row - _MEASURES * _VALUE_WIDTH :]
+                values = values.reshape(self.step, hi - lo, _MEASURES, _VALUE_WIDTH)
+                values[..., _WORD] = ends
+                words = values[..., :_WORD].view("<u8")[..., 0]
+                slabs.append((lo, hi, slab[:, :, :width_p], words))
+                starts.append(at + row * np.arange(hi - lo))
+                at += (hi - lo) * row
+            self.layout = width_p, width, slabs, np.concatenate(starts)
+        return self.layout[1:]
 
 
-def _write_block(fh, columns, words, runs, start, offset, prefix) -> None:
-    """The rows of len(prefix) whole index_p rows, from columns' pair start on.
+def _fill_words(v: np.ndarray, ok: np.ndarray, floats: np.ndarray, good: np.ndarray):
+    """The word of each cell of v, in floats[2] as "<u8"; ok cleared where a cell is no word.
+
+    floats holds (3, len(v)) scratch; micro-units and table indices take
+    its first two rows as int64, which is intp on a 64-bit platform.
+    """
+    scaled, rounded, word = floats[0], floats[1], floats[2].view("<u8")
+    np.multiply(v, 1e6, out=scaled)
+    np.rint(scaled, out=rounded)
+    np.subtract(scaled, rounded, out=scaled)  # inf - inf is nan, which fails the test as inf does
+    np.absolute(scaled, out=scaled)
+    np.less(scaled, 0.5 - _HALF_WINDOW, out=good)
+    ok &= good
+    np.less(rounded, 1e7, out=good)
+    ok &= good
+    np.signbit(v, out=good)
+    np.logical_not(good, out=good)
+    ok &= good
+    # a cell that fails casts to any int (nan and inf too); "clip" keeps its indices in range
+    micro, top = scaled.view(np.int64), rounded.view(np.int64)
+    np.copyto(micro, rounded, casting="unsafe")
+    np.floor_divide(micro, 1000, out=top)
+    high, low = _halves()
+    high.take(top, out=word, mode="clip")
+    top *= 1000
+    micro -= top
+    low.take(micro, out=top.view("<u8"), mode="clip")
+    word += top.view("<u8")
+    return word
+
+
+def _write_block(out: PairRowWriter, columns, start, offset, prefix) -> None:
+    """The rows of len(prefix) whole index_p rows, from columns' pair start on, a chunk at a time.
 
     Pair k of columns is pair k + offset of the sweep.
     """
-    count, values = runs[-1][1], len(columns) * _VALUE_WIDTH
-    slabs, width = [], 0  # (index_q run, its row width, its offset in an index_p row)
-    for lo, hi, q_index in runs:
-        row = prefix.shape[1] + q_index.shape[1] + values
-        slabs.append((lo, hi, q_index, row, width))
-        width += (hi - lo) * row
-    rows = np.empty((len(prefix), width), np.uint8)
-    fields = []  # (index_q run, its slab's value bytes)
-    for lo, hi, q_index, row, at in slabs:
-        slab = rows[:, at : at + (hi - lo) * row].reshape(len(prefix), hi - lo, row)
-        slab[:, :, : prefix.shape[1]] = prefix[:, None]
-        slab[:, :, prefix.shape[1] : row - values] = q_index
-        fields.append((lo, hi, slab[:, :, row - values :]))
-    ok = True
-    # one column's digits at a time, dropped before the next column's are made
-    for k, (column, w) in enumerate(zip(columns, words)):
-        cells = column[start : start + len(prefix) * count].reshape(-1, count)
-        good, unit, first, second = _digits(cells, *w)
-        ok = ok & good
-        col = k * _VALUE_WIDTH
-        for lo, hi, field in fields:
-            field[:, :, col] = unit[:, lo:hi]
-            field[:, :, col + 1 : col + 5].view("<u4")[..., 0] = first[:, lo:hi]
-            field[:, :, col + 5 : col + 9].view("<u4")[..., 0] = second[:, lo:hi]
-    # rows r0 <= r < r1 go to _PAIR_ROW; row r starts at r // count * width + q_start[r % count]
-    edges = np.flatnonzero(np.diff(np.r_[True, ok.ravel(), True])).tolist()
-    q_start = np.concatenate([at + row * np.arange(hi - lo) for lo, hi, _, row, at in slabs])
-    text, at = rows.reshape(-1), 0
-    for r0, r1 in zip(edges[::2], edges[1::2]):
-        fh.write(text[at : r0 // count * width + q_start[r0 % count]])
-        pairs = np.arange(start + r0, start + r1)
-        fields = [*np.divmod(pairs + offset, count), *columns[:, pairs]]
-        fh.write("".join(map(_PAIR_ROW, *(f.tolist() for f in fields))).encode())
-        at = r1 // count * width + q_start[r1 % count]
-    fh.write(text[at:])
-
-
-def write_pair_rows(fh: BinaryIO, count: int, columns: np.ndarray, first: int) -> None:
-    """The CSV rows of whole index_p rows of a count x count sweep, to a binary file.
-
-    columns is (measures, pairs): the measures of index_p rows first, first + 1,
-    ... in row-major pair order; the bytes equal _PAIR_ROW's for every pair.
-    """
-    dot = _words(".{:03d}")
-    words = [(dot, _words("{:03d},"))] * (len(columns) - 1) + [(dot, _words("{:03d}\n"))]
-    bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
-    runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    end = first + columns.shape[1] // count
-    for lo, hi, p_index in runs:
-        i, j = max(first, lo), min(end, hi)
-        if i < j:
-            _write_block(fh, columns, words, runs, (i - first) * count, first * count,
-                         p_index[i - lo : j - lo])
+    count, fh = out.count, out.fh
+    width, slabs, starts = out._slabs(prefix.shape[1])
+    for first in range(0, len(prefix), out.step):
+        head = prefix[first : first + out.step]
+        rows, size, begin = len(head), len(head) * count, start + first * count
+        floats, (ok, good) = out.floats[:, :size], out.flags[:, :size]
+        ok[:] = True
+        for _, _, heads, _ in slabs:
+            heads[:rows] = head[:, None]
+        with np.errstate(invalid="ignore"):  # a cell that fails the test may not cast
+            for k, column in enumerate(columns):
+                word = _fill_words(column[begin : begin + size], ok, floats, good)
+                word = word.reshape(rows, count)
+                for lo, hi, _, words in slabs:
+                    words[:rows, :, k] = word[:, lo:hi]
+        text = out.buffer[: rows * width]
+        if ok.all():
+            fh.write(text)
+            continue
+        # rows r0 <= r < r1 go to _PAIR_ROW; row r starts at r // count * width + starts[r % count]
+        edges, at = np.flatnonzero(np.diff(np.r_[True, ok, True])).tolist(), 0
+        for r0, r1 in zip(edges[::2], edges[1::2]):
+            fh.write(text[at : r0 // count * width + starts[r0 % count]])
+            pairs = np.arange(begin + r0, begin + r1)
+            fields = [*np.divmod(pairs + offset, count), *columns[:, pairs]]
+            fh.write("".join(map(_PAIR_ROW, *(f.tolist() for f in fields))).encode())
+            at = r1 // count * width + starts[r1 % count]
+        fh.write(text[at:])

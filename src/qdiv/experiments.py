@@ -10,13 +10,16 @@ formatted columns into lines, _ROW_CHUNK rows at a time.
 The pairwise sweep, a million pairs at 15/5, walks the kernel's one block
 loop, divergence._measure_blocks, which scores whole index_p rows, up to
 2**14 pairs, at a time, into one (5, rows, count) array. Viewed as (5,
-pairs), it goes whole to _pairrows, which writes it (its docstring has the
-format). So the sweep's memory does not grow with the pair count, and each
-pair is scored once. The summary is of the same N**2 values as a multiset,
-which needs only the partition rows: every measure stays the same when the
-cells of both distributions are permuted together, so each composition in
-the orbit of a partition P meets the N compositions in the values P meets
-them in. A stats.ColumnSummary folds each block's partition rows, each pair
+pairs), it goes whole to the sweep's _pairrows.PairRowWriter, which formats
+it a chunk of rows at a time in a row buffer and scratch of its own, made
+with the writer and dropped with it when the sweep ends (its docstring has
+the format and the sizes). So the sweep's memory does not grow with the
+pair count, no block allocates a row buffer, and each pair is scored once.
+The summary is of the same N**2 values as a multiset, which needs only the
+partition rows: every measure stays the same when the cells of both
+distributions are permuted together, so each composition in the orbit of a
+partition P meets the N compositions in the values P meets them in. A
+stats.ColumnSummary folds each block's partition rows, each pair
 weighted by its row's orbit size (_orbits), into the summary's weighted
 moments and its maxima and distinct values: 30,030 pairs at 15/5.
 
@@ -49,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._pairrows import write_pair_rows
+from ._pairrows import PairRowWriter
 from .divergence import MEASURE_LABELS, _measure_blocks, measures
 from .enumeration import _check, _lex_parts, _partition_matrix, count_ordered, count_unordered
 from .errors import (
@@ -168,9 +171,10 @@ def run_pairwise_experiment(total: int, cells: int, out_path: str | Path) -> Pai
     summary = ColumnSummary(MEASURE_LABELS)
     with open(out_path, "wb") as fh:
         fh.write(b"index_p,index_q,kl,kn,jsd,hellinger,jaccard\n")
+        rows = PairRowWriter(fh, count)
         for first, block in _measure_blocks(counts, counts, total):
             np.sqrt(block[3], out=block[3])  # hellinger, unsquared in place
-            write_pair_rows(fh, count, block.reshape(5, -1), first)
+            rows.write(block.reshape(5, -1), first)
             # the block's partition rows, each pair weighted by its row's orbit
             # size; the copy is a temporary, so the next block does not hold it
             lo, hi = np.searchsorted(partitions, (first, first + block.shape[1]))

@@ -228,14 +228,16 @@ class TestSweepBlocks:
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path, total, cells):
         # 511,225, 1,002,001 and 1,656,369 pairs, whose five whole float64
         # columns alone would take 19.5, 38.2 and 63.2 MiB; one block's take
-        # 0.6 MiB. Traced peaks 2.8, 2.9 and 2.8 MiB
+        # 0.6 MiB. Traced peaks 1.9, 2.3 and 2.1 MiB; a writer that made a
+        # row buffer and digit arrays for every block peaked at 2.7, 2.91
+        # and 2.8 MiB
         tracemalloc.start()
         try:
             run_pairwise_experiment(total, cells, tmp_path / "p.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2.91 * 2**20
 
 
 def compositions(total, cells):
@@ -345,16 +347,17 @@ FORMAT_VALUES = st.one_of(
 
 
 def blocked_pair_rows(count, block, columns):
-    """write_pair_rows' bytes for count * count pairs, cut as a kernel block of block pairs is.
+    """One PairRowWriter's bytes for count * count pairs, cut as a kernel block of block pairs is.
 
     Each call gets max(1, block // count) whole index_p rows and their first
     index_p, the last call what is left.
     """
     fh = io.BytesIO()
+    rows = _pairrows.PairRowWriter(fh, count)
     step = max(1, block // count)
     for first in range(0, count, step):
         pairs = slice(first * count, (first + step) * count)
-        _pairrows.write_pair_rows(fh, count, columns[:, pairs], first)
+        rows.write(columns[:, pairs], first)
     return fh.getvalue()
 
 
@@ -443,6 +446,44 @@ class TestPairRowFormat:
         # prefix + prefix.join(index_q) is every row of one index_p
         expected = "".join(f"{i}," + f"{i},".join(index_q) for i in range(count))
         assert blocked_pair_rows(count, block, columns) == expected.encode("ascii")
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 101])
+    def test_reused_buffer_keeps_no_stale_bytes(self, chunk_rows):
+        # one writer takes blocks of 7 index_p rows of a 101 x 101 sweep, in
+        # chunks of chunk_rows rows; the pairs that go to str.format in one
+        # block (every other pair, the block's first and last among them) are
+        # digit rows in the next and the other way round, so a row the buffer
+        # held in one block is formatted in the next. Blocks 7-13 and 98-100
+        # straddle the index widths 10 and 100
+        count, block = 101, 7
+        fallbacks = [12.5, -0.25, 81 / 128, math.nan, -0.0]  # one a measure
+        rows = []
+        for k in range(count * count):
+            b = k // count // block  # the pair's block
+            offset = k - b * block * count  # the pair's place in its block
+            row = [(k * 7 + m) % 640 / 64 for m in range(5)]  # exact to six decimals
+            if (offset + b) % 2 == 0:
+                row[k % 5] = fallbacks[k % 5]
+            rows.append(row)
+        with mock.patch.object(_pairrows, "_CHUNK", chunk_rows * count):
+            check_pair_rows(count, block * count, rows)
+
+    def test_digit_block_allocates_no_array(self, tmp_path):
+        # after the first block, a block of digit rows is written through the
+        # writer's own buffer and scratch: the traced peak of the write stays
+        # far below one chunk's 8,192 float64 values (64 KiB)
+        count = 1001
+        columns = np.tile(np.arange(16 * count) % 640 / 64, (5, 1))
+        with open(tmp_path / "p.csv", "wb") as fh:
+            rows = _pairrows.PairRowWriter(fh, count)
+            rows.write(columns, 0)
+            tracemalloc.start()
+            try:
+                rows.write(columns, 16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 * 2**10
 
 
 MEASURES = ("kn", "kl", "jsd", "hellinger", "jaccard")

@@ -7,7 +7,8 @@ session fixture pairwise_15_5 writes anyway is checked too, and so is every
 CSV of the reference battery, scripts/reproduce_experiments.py. Arguments come
 from perfbench/run.py (workload_steps) and the expected digests from
 perfbench/reference.json, which this module only reads; the study and rank
-CSVs of two deeper domains, 60/12 and 40/10, have digests of their own here.
+CSVs of two deeper domains, 60/12 and 40/10, and the pairwise CSVs of 1400/2
+and 14/6 have digests of their own here.
 Any byte drift, such as a tie that splits differently in a rank column,
 fails here and not only in the benchmark. The last two tests guard, from the package side, the names
 the benchmark's tracer (perfbench/spans.py) and its check_trace rely on.
@@ -141,6 +142,16 @@ LARGE_DOMAINS = {
         "out.csv": "7d36e17840b12e961c6fd6b4b404b8333ffb240c8209e6d4bef28216fc89fdeb",
         "out_spearman.csv": "47af0a1a49042f6885a6040764890c22a6e46534ed1352678f3e5f68039e794a",
     },
+    # recorded with the pairwise writer that formatted whole kernel blocks;
+    # 1,592 rows of 1400/2 go to str.format, 14/6 has 1,287 distributions
+    ("pairwise", 1400, 2): {
+        "out.csv": "3a25b7670c61fd9d1e6f5243301b4d39d76e219fb7e658ef5ecded6dff795b94",
+        "out_summary.csv": "de10f8ef47a829bccd7f865ec61cd1b630cb309a3e8d1afec593d45fd069532e",
+    },
+    ("pairwise", 14, 6): {
+        "out.csv": "53e7fd2002bc41cdbc0df49b230b1620e85d7ac60da5f46c9287e138a5f909e5",
+        "out_summary.csv": "051e37105284cbc1e795fe2bf7d6b9106796ce078c53345d4ddd98bcc00d70b1",
+    },
 }
 
 
@@ -152,7 +163,7 @@ def test_large_domain_bytes_match_recorded(command, dots, cells, tmp_path, monke
     argv = [command, "--dots", str(dots), "--cells", str(cells), "--out", "out.csv"]
     assert main(argv) == 0
     written = sorted(path.name for path in tmp_path.iterdir())
-    digests = {name: sha256((tmp_path / name).read_bytes()) for name in written}
+    digests = {name: file_sha256(tmp_path / name) for name in written}
     assert digests == LARGE_DOMAINS[command, dots, cells]
 
 
