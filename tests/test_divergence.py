@@ -25,6 +25,7 @@ from qdiv import (
     kn,
     make_comparable,
     measures,
+    verify_maximizer_sweep,
 )
 from qdiv import divergence
 from qdiv.divergence import _hellinger_term, _jsd_term, _kl_term
@@ -91,6 +92,8 @@ def assert_equals_reference(p, q):
 
 # the largest top = M - n + 1 whose terms the scalar measures read from a table
 TOP = divergence._TABLE_TOP
+# the most cells whose table terms a straight-line adder sums
+CELLS = divergence._TABLE_CELLS
 
 
 def table_builds():
@@ -246,26 +249,35 @@ class TestScalarLoop:
             assert_equals_reference(p, q)
 
     @given(
-        st.tuples(st.integers(1, 8), st.sampled_from([TOP, TOP + 1])).flatmap(
+        st.tuples(st.integers(1, CELLS + 1), st.sampled_from([TOP, TOP + 1])).flatmap(
             lambda drawn: st.tuples(*[composition(drawn[0], drawn[1] + drawn[0] - 1)] * 2)
         )
     )
     @example(((TOP, 1, 1), (1, 1, TOP)))
     @example(((TOP + 1, 1, 1), (1, 1, TOP + 1)))
     @example(((TOP,), (TOP,)))
+    @example(((TOP,) + (1,) * (CELLS - 1), (1,) * (CELLS - 1) + (TOP,)))
+    @example(((TOP,) + (1,) * CELLS, (1,) * CELLS + (TOP,)))
     @settings(max_examples=100, deadline=None)
     def test_equals_reference_on_each_side_of_the_table_bound(self, counts):
-        # every count lies in [1, top]: a table up to top == TOP, term calls past it
+        # every count lies in [1, top]: a table and an adder up to top == TOP
+        # and CELLS cells, term calls past either
         assert_equals_reference(*map(from_multiplicities, counts))
 
     def test_no_table_past_the_bound(self):
         big = 10**400
-        for counts in ([big, 1], [1, big]), ([TOP + 1, 1, 1], [1, 1, TOP + 1]):
+        for counts in (
+            ([big, 1], [1, big]),
+            ([TOP + 1, 1, 1], [1, 1, TOP + 1]),
+            ([2] + [1] * CELLS, [1] * CELLS + [2]),  # top 2, one cell past the cap
+        ):
             p, q = map(from_multiplicities, counts)
-            builds = table_builds()
+            builds, adders = table_builds(), set(divergence._adders)
             for measure in (kl, kn, jsd, hellinger_squared):
                 measure(p, q)
             assert table_builds() == builds, counts
+            assert set(divergence._adders) == adders, counts
+        assert CELLS + 1 not in divergence._adders
         # at top == TOP the first call builds kl's table and the next reads it
         # from kl's slot, with no lookup in _term_rows' cache
         clear_tables()
@@ -310,17 +322,36 @@ class TestScalarLoop:
             assert_equals_reference(*map(from_multiplicities, (counts, counts[::-1])))
         assert table_builds() == 3
 
+    def test_adders_are_built_once_per_cell_count(self):
+        divergence._adders.clear()
+        with mock.patch.object(
+            divergence, "_build_adder", wraps=divergence._build_adder
+        ) as build:
+            for spec in (6, 3), (7, 4), (5, 1):
+                verify_maximizer_sweep(spec)
+            assert [c.args for c in build.call_args_list] == [(3,), (4,), (1,)]
+            verify_maximizer_sweep((6, 3))
+            assert build.call_count == 3
+
     def test_left_to_right_order_is_pinned(self):
-        # math.fsum of these terms, or a compensated sum(), ends in another bit
+        # math.fsum of these terms, or a compensated sum(), ends in another bit;
+        # the 12-cell cases pin the adder's order, the 4-cell ones the short sums
         for measure, term, p, q, bits in (
             (kl, _kl_term, (4, 2, 1, 1), (3, 1, 2, 2), "0x1.a8ff971810a5cp-3"),
             (jsd, _jsd_term, (5, 1, 1, 1), (2, 2, 2, 2), "0x1.b188ca78a7f4ap-4"),
             (hellinger_squared, _hellinger_term, (5, 1, 1, 1), (3, 2, 2, 1),
              "0x1.31c17418baacfp-5"),
+            (kl, _kl_term, (1, 2, 2, 1, 2, 2, 3, 4, 1, 1, 2, 3),
+             (1, 2, 3, 3, 1, 3, 1, 1, 1, 3, 1, 4), "0x1.aaaaaaaaaaaa9p-2"),
+            (jsd, _jsd_term, (6, 1, 2, 1, 3, 1, 1, 1, 3, 2, 1, 2),
+             (1, 1, 2, 1, 1, 1, 1, 5, 4, 3, 2, 2), "0x1.08d2dfc17a9edp-3"),
+            (hellinger_squared, _hellinger_term, (1, 2, 4, 1, 1, 6, 2, 3, 1, 1, 1, 1),
+             (3, 6, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2), "0x1.36798de7ab78cp-4"),
         ):
             assert measure(from_multiplicities(p), from_multiplicities(q)).hex() == bits
             half = 1.0 if measure is kl else 0.5
-            assert (half * math.fsum(map(term, p, q, [8] * 4))).hex() != bits, measure
+            terms = map(term, p, q, [sum(p)] * len(p))
+            assert (half * math.fsum(terms)).hex() != bits, measure
 
     def test_jsd_of_underflowing_cells(self):
         # 2 / m and 1 / m are both 0.0 here, as is the true term (about 1e-400)

@@ -650,6 +650,44 @@ class TestTableMeans:
         assert np.abs(study.values["kn"] - expected).max() <= 1e-15
 
 
+def first_row_against_uniform(total, cells):
+    """kn, kl, jsd, hellinger² and jaccard of P0 = (M - n + 1, 1, ..., 1) against U_n, in math.
+
+    P0 has one cell of a = (M - n + 1) / M and n - 1 cells of b = 1 / M; each
+    cell of U_n holds u = 1 / n, and M / n dots of the M.
+    """
+    a, b, u = (total - cells + 1) / total, 1 / total, 1 / cells
+    h = -a * math.log2(a) - (cells - 1) * b * math.log2(b)
+    kl_value = math.log2(cells) - h
+
+    def mixed(x):  # one cell's two halves of jsd against the mixture (x + u) / 2
+        return x * math.log2(2 * x / (x + u)) + u * math.log2(2 * u / (x + u))
+
+    jsd_value = 0.5 * (mixed(a) + (cells - 1) * mixed(b))
+    hellinger_value = 1 - math.sqrt(a * u) - (cells - 1) * math.sqrt(b * u)
+    shared = total // cells + cells - 1  # Σ min(k_i, M / n): M - n + 1 >= M / n
+    jaccard_value = 1 - shared / (2 * total - shared)
+    # run_uniform_study's closed form, with p_min = 1 / M
+    kn_value = kl_value / (math.log2(total) - h - b * math.log2(total - cells + 1))
+    return kn_value, kl_value, jsd_value, hellinger_value, jaccard_value
+
+
+class TestTableOne:
+    @pytest.mark.parametrize(
+        "cells, dots", [(cells, cells * mult) for cells in range(6, 11) for mult in (2, 3, 4, 5)]
+    )
+    def test_first_row_holds_every_maximum(self, cells, dots):
+        # P0 majorizes every other row, so the Schur-convex kl, jsd and
+        # hellinger² and the Schur-concave overlap of jaccard peak there; kn
+        # peaks there on these domains too. Table 1 prints these maxima
+        study = run_uniform_study(dots, cells)
+        assert study.counts[0].tolist() == [dots - cells + 1] + [1] * (cells - 1)
+        for m, expected in zip(MEASURES, first_row_against_uniform(dots, cells)):
+            values = study.values[m]
+            assert values.argmax() == 0, (cells, dots, m)
+            assert abs(values.max() - expected) <= 1e-12, (cells, dots, m)
+
+
 class TestTableSweepInvariants:
     def test_kn_maxima_stay_below_cap(self, table_values):
         # against a uniform background the normalized measure tops out near 0.5
