@@ -6,23 +6,23 @@ For one index_p, the index_q values fall into at most four runs of equal
 digit count (0-9, 10-99, 100-999, 1000 up), and while every value prints as
 d.dddddd, all rows of one run have the same width.
 
-A PairRowWriter writes one sweep. Each write gets one block of whole index_p
-rows, a (5, pairs) view of the kernel's block (see divergence._measure_blocks,
-whose _BLOCK of 16,384 pairs was measured faster than 8,192 and leaner than
-32,768), and writes it whole, one part per run of equal index_p width, a
-chunk of whole index_p rows, up to _CHUNK pairs, at a time. The writer owns
-one uint8 row buffer, which holds a chunk as (index_p rows, bytes per index_p
-row); each index_q run is a strided view of it, a slab of shape (index_p
-rows, run length, row width). It also owns the scratch that the digits are
-made in. Both are allocated with the writer, for one chunk, and reused by
-every chunk, so no block allocates an array; they go when the sweep drops
-the writer. At 15/5 a chunk of 8,192 pairs, half a kernel block, takes a
-0.4 MB row buffer and 0.2 MB of scratch; a writer that held a whole block
-read 0.7 MB more peak RSS for 4 ms less time.
+A PairRowWriter writes one sweep. Each write gets one kernel block of whole
+index_p rows, a (5, pairs) view of divergence._measure_blocks' block, and
+formats it whole, in one pass per run of equal index_p width. The writer
+owns one uint8 row buffer, which holds a block as (index_p rows, bytes per
+index_p row); each index_q run is a strided view of it, a slab of shape
+(index_p rows, run length, row width). It also owns the scratch that the
+digits are made in. Both are allocated with the writer, for the rows of one
+kernel block (the kernel's rows formula on divergence._BLOCK), and reused by
+every block, so no block allocates an array; they go when the sweep drops
+the writer. At 15/5 a block of 8,192 pairs, 8 index_p rows, takes a 0.4 MB
+row buffer and 0.2 MB of scratch. In process, on 2 vCPU, 15/5 took 0.162 s
+in blocks of 8,192 pairs and 0.150 s in blocks of 16,384 (medians of 20
+alternations), which take twice the buffer and scratch.
 
 The "{j}," index_q bytes and the "," or "\\n" after each value are the same in
-every chunk, so they are written when the index_p width changes, at most
-four times a sweep. A chunk writes the rest of each row: the "{i}," prefix,
+every block, so they are written when the index_p width changes, at most
+four times a sweep. A block writes the rest of each row: the "{i}," prefix,
 from a byte table of the indices broadcast along index_q, and the values, a
 measure at a time. The buffer goes to the file as it is, unmasked and
 ungathered.
@@ -40,7 +40,7 @@ Below 10 the float product v * 1e6 is within 1e-9 of the exact one, so the
 result equals format(v, ".6f") (correctly rounded from the exact binary
 value) wherever v * 1e6 lies more than _HALF_WINDOW from a half. A row with a
 cell nearer a half, negative (-0.0 too), not finite or rounding to 10 or
-more is formatted by _PAIR_ROW instead; each run of such rows in a chunk is
+more is formatted by _PAIR_ROW instead; each run of such rows in a block is
 gathered, formatted and written as one string between the buffer pieces
 around it. Such a cell's word is never written out, so its table indices
 are only clipped into range.
@@ -56,12 +56,13 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import divergence
+
 _HALF_WINDOW = 1e-6
 _PAIR_ROW = "{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f}\n".format
 _WORD = len("0.000000")
 _VALUE_WIDTH = _WORD + 1  # the word and the "," or "\n" after it
 _MEASURES = 5  # the values of a row, as _PAIR_ROW prints them
-_CHUNK = 1 << 13  # pairs a chunk holds, or one index_p row's if more
 
 
 # built on first use and kept: every block of every sweep reads them
@@ -94,7 +95,7 @@ class PairRowWriter:
         self.fh, self.count = fh, count
         bounds = [0, *(10**w for w in range(1, len(str(count - 1)))), count]
         self.runs = [(lo, hi, _index_bytes(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        self.step = min(count, max(1, _CHUNK // count))  # index_p rows a chunk
+        self.step = min(count, max(1, divergence._BLOCK // count))  # index_p rows a block
         self.buffer = np.empty(self.step * self._row_width(self.runs[-1][2].shape[1]), np.uint8)
         pairs = self.step * count
         self.floats = np.empty((3, pairs))  # scaled, rounded, word; the ints share the first two
@@ -177,35 +178,33 @@ def _fill_words(v: np.ndarray, ok: np.ndarray, floats: np.ndarray, good: np.ndar
 
 
 def _write_block(out: PairRowWriter, columns, start, offset, prefix) -> None:
-    """The rows of len(prefix) whole index_p rows, from columns' pair start on, a chunk at a time.
+    """The rows of len(prefix) whole index_p rows, from columns' pair start on.
 
     Pair k of columns is pair k + offset of the sweep.
     """
     count, fh = out.count, out.fh
     width, slabs, starts = out._slabs(prefix.shape[1])
-    for first in range(0, len(prefix), out.step):
-        head = prefix[first : first + out.step]
-        rows, size, begin = len(head), len(head) * count, start + first * count
-        floats, (ok, good) = out.floats[:, :size], out.flags[:, :size]
-        ok[:] = True
-        for _, _, heads, _ in slabs:
-            heads[:rows] = head[:, None]
-        with np.errstate(invalid="ignore"):  # a cell that fails the test may not cast
-            for k, column in enumerate(columns):
-                word = _fill_words(column[begin : begin + size], ok, floats, good)
-                word = word.reshape(rows, count)
-                for lo, hi, _, words in slabs:
-                    words[:rows, :, k] = word[:, lo:hi]
-        text = out.buffer[: rows * width]
-        if ok.all():
-            fh.write(text)
-            continue
-        # rows r0 <= r < r1 go to _PAIR_ROW; row r starts at r // count * width + starts[r % count]
-        edges, at = np.flatnonzero(np.diff(np.r_[True, ok, True])).tolist(), 0
-        for r0, r1 in zip(edges[::2], edges[1::2]):
-            fh.write(text[at : r0 // count * width + starts[r0 % count]])
-            pairs = np.arange(begin + r0, begin + r1)
-            fields = [*np.divmod(pairs + offset, count), *columns[:, pairs]]
-            fh.write("".join(map(_PAIR_ROW, *(f.tolist() for f in fields))).encode())
-            at = r1 // count * width + starts[r1 % count]
-        fh.write(text[at:])
+    rows, size = len(prefix), len(prefix) * count
+    floats, (ok, good) = out.floats[:, :size], out.flags[:, :size]
+    ok[:] = True
+    for _, _, heads, _ in slabs:
+        heads[:rows] = prefix[:, None]
+    with np.errstate(invalid="ignore"):  # a cell that fails the test may not cast
+        for k, column in enumerate(columns):
+            word = _fill_words(column[start : start + size], ok, floats, good)
+            word = word.reshape(rows, count)
+            for lo, hi, _, words in slabs:
+                words[:rows, :, k] = word[:, lo:hi]
+    text = out.buffer[: rows * width]
+    if ok.all():
+        fh.write(text)
+        return
+    # rows r0 <= r < r1 go to _PAIR_ROW; row r starts at r // count * width + starts[r % count]
+    edges, at = np.flatnonzero(np.diff(np.r_[True, ok, True])).tolist(), 0
+    for r0, r1 in zip(edges[::2], edges[1::2]):
+        fh.write(text[at : r0 // count * width + starts[r0 % count]])
+        pairs = np.arange(start + r0, start + r1)
+        fields = [*np.divmod(pairs + offset, count), *columns[:, pairs]]
+        fh.write("".join(map(_PAIR_ROW, *(f.tolist() for f in fields))).encode())
+        at = r1 // count * width + starts[r1 % count]
+    fh.write(text[at:])

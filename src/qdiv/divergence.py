@@ -34,7 +34,7 @@ from .errors import INT64_DOTS_BUDGET, DomainMismatch, QuantumMismatch, check_bu
 
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
 _KERNEL_LABELS = ("kl", "kn", "jsd", "hellinger_squared", "jaccard")  # measures()' keys
-_BLOCK = 1 << 14  # entries a block holds, or one counts_p row if longer; see _pairrows
+_BLOCK = 1 << 13  # entries a block holds, or one counts_p row if longer; see _pairrows
 _TABLE_TOP = 28  # largest top = M - n + 1 with term tables; its three take about 0.4 ms to build
 _TABLE_CELLS = 64  # most cells a straight-line adder sums; one compiles in about 0.7 ms
 
@@ -312,8 +312,9 @@ def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
     kq_values = _distinct(np.append(cq, (1, big)))
     # flat tables: the term of kp_values[i] against kq_values[j] sits at i * width + j
     width = len(kq_values)
+    kps, kqs = kp_values.tolist(), kq_values.tolist()
     kl_t, jsd_t, he_t = (
-        np.array([term(kp, kq, total) for kp in kp_values.tolist() for kq in kq_values.tolist()])
+        np.fromiter((term(kp, kq, total) for kp in kps for kq in kqs), float, len(kps) * width)
         for term in (_kl_term, _jsd_term, _hellinger_term)
     )
     qi, (one, top) = np.searchsorted(kq_values, cq), np.searchsorted(kq_values, (1, big))
@@ -322,29 +323,16 @@ def _measure_blocks(counts_p, counts_q, total: int, whole: bool = False):
     out = np.empty((5, a, len(cq))) if whole else None
     buffer = None if whole else np.empty((5, step, len(cq)))
     index, maxima = np.empty((step, len(cq)), np.int64), np.empty(step)
-    # for the first minimal cells: keys below total + 2n, in the narrowest dtype that
-    # holds them, or in the counts' own if wider, which then holds them too
-    held = np.min_scalar_type(total + 2 * n)
-    keys = np.empty((2, step), cp.dtype if cp.dtype.itemsize > held.itemsize else held)
-    cap = total // n + 1
+    argmins = np.empty(step, np.intp)  # the dtype argmin writes
     for start in range(0, a, step):
         rows, size = slice(start, start + step), min(step, a - start)
         block = out[:, rows] if whole else buffer[:, :size]
         (kl, kn, jsd, he, jaccard), at, kl_max = block, index[:size], maxima[:size]
         # each sum adds cell 0, 1, ... to 0.0, as the loops do
         kl[:] = jsd[:] = he[:] = kl_max[:] = 0.0
-        # kl against build_maximizer's opponent: big on the first minimal cell, 1 elsewhere.
-        # That cell is the running minimum of count * n + cell over the cells, modulo
-        # n; counts clip at cap, above any row's least count. Every count in [1, total]
-        # fits the keys' dtype, so the unsafe cast keeps it
-        key, low = keys[:, :size]
-        key[:] = np.iinfo(key.dtype).max
-        for c in range(n):
-            np.minimum(cp[rows, c], cap, out=low, dtype=low.dtype, casting="unsafe")
-            low *= n
-            low += c
-            np.minimum(key, low, out=key)
-        np.remainder(key, n, out=low)
+        # kl against build_maximizer's opponent: big on the first minimal cell
+        # (ms.index(min(ms)), which argmin finds too), 1 elsewhere
+        low = np.argmin(cp[rows], axis=1, out=argmins[:size])
         for c in range(n):
             pi = np.searchsorted(kp_values, cp[rows, c])
             pi *= width

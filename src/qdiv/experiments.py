@@ -9,12 +9,13 @@ formatted columns into lines, _ROW_CHUNK rows at a time.
 
 The pairwise sweep, a million pairs at 15/5, walks the kernel's one block
 loop, divergence._measure_blocks, which scores whole index_p rows, up to
-2**14 pairs, at a time, into one (5, rows, count) array. Viewed as (5,
-pairs), it goes whole to the sweep's _pairrows.PairRowWriter, which formats
-it a chunk of rows at a time in a row buffer and scratch of its own, made
-with the writer and dropped with it when the sweep ends (its docstring has
-the format and the sizes). So the sweep's memory does not grow with the
-pair count, no block allocates a row buffer, and each pair is scored once.
+divergence._BLOCK pairs, at a time, into one (5, rows, count) array.
+Viewed as (5, pairs), it goes whole to the sweep's _pairrows.PairRowWriter,
+which formats it whole in a row buffer and scratch of its own, sized for
+one block, made with the writer and dropped with it when the sweep ends
+(its docstring has the format and the sizes). So no block allocates a row
+buffer, each pair is scored once, and memory grows with the pair count
+only through the kernel's term tables and the summary's distinct values.
 The summary is of the same N**2 values as a multiset, which needs only the
 partition rows: every measure stays the same when the cells of both
 distributions are permuted together, so each composition in the orbit of a

@@ -109,22 +109,18 @@ def _moments(
     """Of (k, size) columns: row means, np.sum of centred products (no BLAS), centred rows.
 
     With a (size,) vector of weights, each entry counts weight times in the
-    means and co-moments; without, the means are mean(axis=1). The centred
-    rows go to out if given; out=columns centres in place.
+    means and co-moments; without, once. The centred rows go to out if
+    given; out=columns centres in place.
     """
     k, size = columns.shape
-    product = np.empty(size)
-    if weights is None:
-        means = columns.mean(axis=1)
-    else:
-        total = np.sum(weights)
-        means = np.array([np.sum(np.multiply(x, weights, out=product)) for x in columns]) / total
-        scaled = np.empty(size)
+    weights = np.ones(size) if weights is None else weights
+    product, scaled = np.empty(size), np.empty(size)
+    means = np.array([np.sum(np.multiply(x, weights, out=product)) for x in columns])
+    means /= np.sum(weights)
     centred = np.subtract(columns, means[:, None], out=out)
     comoments = np.empty((k, k))
     for i, x in enumerate(centred):
-        if weights is not None:
-            x = np.multiply(x, weights, out=scaled)
+        x = np.multiply(x, weights, out=scaled)
         for j in range(i, k):
             comoments[i, j] = comoments[j, i] = np.sum(np.multiply(x, centred[j], out=product))
     return means, comoments, centred

@@ -583,15 +583,15 @@ class TestBatchedKernel:
                 measures(np.array(rows, np.uint64), [(3, 1)], 4)
 
     def test_blocks_are_views_of_one_buffer(self):
-        # 15/5 has 1,001 distributions: blocks of 16,384 // 1,001 = 16 rows,
-        # the 63rd of 9; each is a (5, rows, 1001) view of the one buffer
+        # 15/5 has 1,001 distributions: blocks of 8,192 // 1,001 = 8 rows,
+        # the 126th of 1; each is a (5, rows, 1001) view of the one buffer
         counts = np.array([d.multiplicities for d in enumerate_unordered(15, 5)])
         values = measures(counts, counts, 15)
         labels = ("kl", "kn", "jsd", "hellinger_squared", "jaccard")
         assert all(values[m].base is values["kl"].base for m in labels)  # one (5, a, b) array
         firsts, blocks = [], divergence._measure_blocks(counts, counts, 15)
         for first, block in blocks:
-            rows = min(16, 1001 - first)
+            rows = min(8, 1001 - first)
             assert block.shape == (5, rows, 1001) and block.dtype == np.float64
             if firsts:
                 assert np.shares_memory(block, kept)
@@ -599,7 +599,7 @@ class TestBatchedKernel:
             for k, m in enumerate(labels):
                 assert block[k].tobytes() == values[m][first : first + rows].tobytes(), m
             firsts.append(first)
-        assert firsts == list(range(0, 1001, 16)) and len(firsts) == 63
+        assert firsts == list(range(0, 1001, 8)) and len(firsts) == 126
 
 
 class TestAgainstScipy:

@@ -228,16 +228,16 @@ class TestSweepBlocks:
     def test_memory_does_not_grow_with_the_pairs(self, tmp_path, total, cells):
         # 511,225, 1,002,001 and 1,656,369 pairs, whose five whole float64
         # columns alone would take 19.5, 38.2 and 63.2 MiB; one block's take
-        # 0.6 MiB. Traced peaks 1.9, 2.3 and 2.1 MiB; a writer that made a
-        # row buffer and digit arrays for every block peaked at 2.7, 2.91
-        # and 2.8 MiB
+        # 0.3 MiB. Traced peaks 1.55, 1.58 and 1.57 MiB in a new process; with
+        # blocks of 16,384 pairs cut into writer chunks of 8,192 they were
+        # 2.04, 2.16 and 2.06 MiB
         tracemalloc.start()
         try:
             run_pairwise_experiment(total, cells, tmp_path / "p.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.91 * 2**20
+        assert peak < 1.65 * 2**20
 
 
 def compositions(total, cells):
@@ -420,14 +420,26 @@ class TestPairRowFormat:
         check_pair_rows(count, block, rows)
 
     def test_kernel_block_goes_out_whole_per_index_width(self, tmp_path):
-        # 11/5 has 210 distributions, so a kernel block holds 16,384 // 210 =
-        # 78 index_p rows: rows 0-77, 78-155 and 156-209. The first block's
-        # index_p width changes at 10 and the second's at 100; each width run
+        # 11/5 has 210 distributions, so a kernel block holds 8,192 // 210 =
+        # 39 index_p rows: rows 0-38, 39-77, ..., 195-209. The first block's
+        # index_p width changes at 10 and the third's at 100; each width run
         # is one _write_block call, and nothing cuts a run
         writes = mock.patch.object(_pairrows, "_write_block", wraps=_pairrows._write_block)
         with writes as write_block:
             run_pairwise_experiment(11, 5, tmp_path / "p.csv")
-        assert [len(c.args[-1]) for c in write_block.call_args_list] == [10, 68, 22, 56, 54]
+        runs = [len(c.args[-1]) for c in write_block.call_args_list]
+        assert runs == [10, 29, 39, 22, 17, 39, 39, 15]
+
+    @pytest.mark.parametrize("count, rows", [(1, 1), (2, 2), (1001, 8), (divergence._BLOCK + 1, 1)])
+    def test_writer_holds_one_kernel_block(self, count, rows):
+        # the row buffer holds the rows of one kernel block of a count x count
+        # sweep at the widest index_p, and the scratch its pairs, no more
+        counts = [(k, count + 1 - k) for k in range(1, count + 1)]
+        _, block = next(divergence._measure_blocks(counts[: rows + 1], counts, count + 1))
+        assert block.shape == (5, rows, count)
+        writer = _pairrows.PairRowWriter(io.BytesIO(), count)
+        assert writer.buffer.shape == (rows * writer._row_width(len(f"{count - 1},")),)
+        assert writer.floats.shape == (3, rows * count) and writer.flags.shape == (2, rows * count)
 
     @pytest.mark.parametrize(
         "block, values",
@@ -447,15 +459,16 @@ class TestPairRowFormat:
         expected = "".join(f"{i}," + f"{i},".join(index_q) for i in range(count))
         assert blocked_pair_rows(count, block, columns) == expected.encode("ascii")
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 101])
-    def test_reused_buffer_keeps_no_stale_bytes(self, chunk_rows):
-        # one writer takes blocks of 7 index_p rows of a 101 x 101 sweep, in
-        # chunks of chunk_rows rows; the pairs that go to str.format in one
+    @pytest.mark.parametrize("block", [1, 3, 7, 81, 101])
+    def test_reused_buffer_keeps_no_stale_bytes(self, block):
+        # one writer, sized for kernel blocks of block index_p rows, takes the
+        # blocks of a 101 x 101 sweep; the pairs that go to str.format in one
         # block (every other pair, the block's first and last among them) are
         # digit rows in the next and the other way round, so a row the buffer
-        # held in one block is formatted in the next. Blocks 7-13 and 98-100
-        # straddle the index widths 10 and 100
-        count, block = 101, 7
+        # held in one block is formatted in the next. Blocks 9-11 and 99-100,
+        # 7-13 and 98-100, 0-80 and 81-100 (the default's) and the one block
+        # of 101 rows straddle the index widths 10 and 100
+        count = 101
         fallbacks = [12.5, -0.25, 81 / 128, math.nan, -0.0]  # one a measure
         rows = []
         for k in range(count * count):
@@ -465,18 +478,20 @@ class TestPairRowFormat:
             if (offset + b) % 2 == 0:
                 row[k % 5] = fallbacks[k % 5]
             rows.append(row)
-        with mock.patch.object(_pairrows, "_CHUNK", chunk_rows * count):
+        with mock.patch.object(divergence, "_BLOCK", block * count):
             check_pair_rows(count, block * count, rows)
 
     def test_digit_block_allocates_no_array(self, tmp_path):
-        # after the first block, a block of digit rows is written through the
-        # writer's own buffer and scratch: the traced peak of the write stays
-        # far below one chunk's 8,192 float64 values (64 KiB)
+        # after the blocks of rows 0-7 and 8-15, whose index_p widths change
+        # at 10, a block of digit rows is written through the writer's own
+        # buffer and scratch: the traced peak of the write stays far below
+        # one block's 8,008 float64 values (62.6 KiB)
         count = 1001
-        columns = np.tile(np.arange(16 * count) % 640 / 64, (5, 1))
+        columns = np.tile(np.arange(8 * count) % 640 / 64, (5, 1))
         with open(tmp_path / "p.csv", "wb") as fh:
             rows = _pairrows.PairRowWriter(fh, count)
             rows.write(columns, 0)
+            rows.write(columns, 8)
             tracemalloc.start()
             try:
                 rows.write(columns, 16)
