@@ -14,11 +14,20 @@ stacked on a cell where the first argument is smallest.
 A scalar measure adds its per-cell terms left to right from 0.0. While
 every count fits a term table (M - n + 1 at most _TABLE_TOP) and the pair
 has at most _TABLE_CELLS cells, the addition is one straight-line
-expression per cell count, 0.0 + rows[p0][q0] + ... + rows[p(n-1)][q(n-1)],
-compiled on first use: the same IEEE additions in the same order as the
-loop, with no loop to run. The cap bounds its compile time; past about
-3,000 terms the compiler raises RecursionError. sum() is no substitute:
-from Python 3.12 on it compensates rounding and ends in other bits.
+expression, 0.0 + rows[p0][q0] + ... + rows[p(n-1)][q(n-1)], compiled on
+first use for each (term, M, n) with its own table of terms: the same IEEE
+additions in the same order as the loop, with no loop to run. The cap
+bounds its compile time; past about 3,000 terms the compiler raises
+RecursionError. sum() is no substitute: from Python 3.12 on it compensates
+rounding and ends in other bits.
+
+kl(P, .) has a floor too: no Q != P on P's quantum is closer than some
+one-unit transfer P + e_i - e_j. f(Q) = kl(P, Q) is a sum of convex
+functions of each q_i on the compositions {q >= 1, sum q = M}, so f is
+M-convex (Murota, Discrete Convex Analysis, SIAM 2003, ch. 6), and f(P) = 0
+is its least value. For Q != P the exchange axiom gives i, j with
+Q_i > P_i, Q_j < P_j and f(Q) + f(P) >= f(Q - e_i + e_j) + f(P + e_i - e_j);
+both points are compositions, and f(Q - e_i + e_j) >= f(P).
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from .errors import INT64_DOTS_BUDGET, DomainMismatch, QuantumMismatch, check_bu
 MEASURE_LABELS = ("kl", "kn", "jsd", "hellinger", "jaccard")
 _KERNEL_LABELS = ("kl", "kn", "jsd", "hellinger_squared", "jaccard")  # measures()' keys
 _BLOCK = 1 << 13  # entries a block holds, or one counts_p row if longer; see _pairrows
-_TABLE_TOP = 28  # largest top = M - n + 1 with term tables; its three take about 0.4 ms to build
-_TABLE_CELLS = 64  # most cells a straight-line adder sums; one compiles in about 0.7 ms
+_TABLE_TOP = 28  # largest top = M - n + 1 with term tables; its three take about 0.5 ms to build
+_TABLE_CELLS = 64  # most cells a straight-line adder sums; one compiles in about 0.6 ms
 
 
 @dataclass(frozen=True)
@@ -86,50 +95,38 @@ def _hellinger_term(kp: int, kq: int, m: int) -> float:
 
 
 @functools.lru_cache(maxsize=4)
-def _term_rows(term, m: int, top: int) -> tuple[tuple[float, ...], ...]:
-    """term(kp, kq, m) at [kp][kq] for kp, kq in [1, top]; row 0 and entry 0 are unused."""
-    span = range(1, top + 1)
-    return ((),) + tuple((0.0, *[term(kp, kq, m) for kq in span]) for kp in span)
+def _adder(term, m: int, n: int):
+    """add(ps, qs) = 0.0 + rows[ps[0]][qs[0]] + ... + rows[ps[n - 1]][qs[n - 1]].
 
-
-# per term, the (m, rows) _cell_sum read last; rows serve every top below len(rows)
-_last_rows = dict.fromkeys((_kl_term, _jsd_term, _hellinger_term), (0, ()))
-
-
-def _build_adder(n: int):
-    """add(rows, ps, qs) = 0.0 + rows[ps[0]][qs[0]] + ... + rows[ps[n - 1]][qs[n - 1]].
-
-    Written out from the integers of range(n) and compiled, as namedtuple
-    builds its methods: the loop's additions in its order, with no loop.
+    rows[kp][kq] = term(kp, kq, m) for kp, kq in [1, m - n + 1] (row 0 and
+    entry 0 unused), built here and bound in add's globals. add is written
+    out from the integers of range(n) and compiled, as namedtuple builds
+    its methods: the loop's additions in its order, with no loop.
     """
+    span = range(1, m - n + 2)
+    rows = ((),) + tuple((0.0, *[term(kp, kq, m) for kq in span]) for kp in span)
     cells = range(n)
     ps = "".join(f"p{i}, " for i in cells)
     qs = "".join(f"q{i}, " for i in cells)
     terms = "".join(f" + rows[p{i}][q{i}]" for i in cells)
-    names = {}
-    exec(f"def add(rows, ps, qs):\n    {ps}= ps\n    {qs}= qs\n    return 0.0{terms}\n", names)
+    names = {"rows": rows}
+    exec(f"def add(ps, qs):\n    {ps}= ps\n    {qs}= qs\n    return 0.0{terms}\n", names)
     return names["add"]
 
 
-class _Adders(dict):
-    """Cell count n -> _build_adder(n), built on the first read of n."""
-
-    def __missing__(self, n: int):
-        adder = self[n] = _build_adder(n)
-        return adder
-
-
-_adders = _Adders()
+# per term, the (m, n, add) _cell_sum read last, in front of _adder's cache
+_last_adder = dict.fromkeys((_kl_term, _jsd_term, _hellinger_term), (0, 0, None))
 
 
 def _cell_sum(p: QuantumDistribution, q: QuantumDistribution, term) -> float:
     """term over each cell of a same-quantum pair, added left to right from 0.0.
 
     Counts lie in [1, M - n + 1]. Up to top = _TABLE_TOP and n = _TABLE_CELLS
-    cells, the terms come from _term_rows' table and _adders[n] adds them
-    in one expression, which gives the loop's bits on every Python, where
-    sum() would compensate from 3.12 on. Past either bound, term is called
-    on each cell in a loop.
+    cells, _adder(term, M, n) adds the terms from its table in one
+    expression, which gives the loop's bits on every Python, where sum()
+    would compensate from 3.12 on; each term's slot in _last_adder holds
+    the adder it used last. Past either bound, term is called on each cell
+    in a loop.
     """
     ps, qs = p.multiplicities, q.multiplicities
     n = len(ps)
@@ -140,13 +137,12 @@ def _cell_sum(p: QuantumDistribution, q: QuantumDistribution, term) -> float:
         raise QuantumMismatch(
             f"totals differ ({m} vs {q.total}); rescale to a common quantum first"
         )
-    top = m - n + 1
-    if top <= _TABLE_TOP and n <= _TABLE_CELLS:
-        last, rows = _last_rows[term]
-        if last != m or len(rows) <= top:
-            rows = _term_rows(term, m, top)
-            _last_rows[term] = m, rows
-        return _adders[n](rows, ps, qs)
+    if m - n < _TABLE_TOP and n <= _TABLE_CELLS:
+        last_m, last_n, add = _last_adder[term]
+        if last_m != m or last_n != n:
+            add = _adder(term, m, n)
+            _last_adder[term] = m, n, add
+        return add(ps, qs)
     total = 0.0
     for kp, kq in zip(ps, qs):
         total += term(kp, kq, m)

@@ -130,6 +130,19 @@ class TestCompare:
         assert code == 0
         assert out == ["kl=0.042481"]
 
+    def test_kn_depends_on_the_written_quantum(self, capsys):
+        # one pair of probability vectors, rescaled to the quanta 1/12, 1/6
+        # and 1/24: kn's denominator grows with the total, the rest do not move
+        others = ["kl=0.084963", "jsd=0.020721", "hellinger=0.120006", "jaccard=0.285714"]
+        for p, q, kn_line in (
+            ("2,2", "1,2", "kn=0.099343"),
+            ("1,1", "1,2", "kn=0.200384"),
+            ("4,4", "2,4", "kn=0.064211"),
+        ):
+            code, out, err = run(capsys, "compare", "--p", p, "--q", q, "--rescale")
+            assert code == 0, err
+            assert out == [others[0], kn_line, *others[1:]], (p, q)
+
     def test_bad_multiplicity_exits_one(self, capsys):
         code, _, err = run(capsys, "compare", "--p", "2,0,1", "--q", "1,1,1")
         assert code == 1

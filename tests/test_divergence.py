@@ -97,14 +97,14 @@ CELLS = divergence._TABLE_CELLS
 
 
 def table_builds():
-    """Term tables built so far for the scalar measures."""
-    return divergence._term_rows.cache_info().misses
+    """Adders, each with its term table, built so far for the scalar measures."""
+    return divergence._adder.cache_info().misses
 
 
 def clear_tables():
-    """Forget every term table: _term_rows' cache and each term's slot in front of it."""
-    divergence._term_rows.cache_clear()
-    divergence._last_rows.update(dict.fromkeys(divergence._last_rows, (0, ())))
+    """Forget every adder: _adder's cache and each term's slot in front of it."""
+    divergence._adder.cache_clear()
+    divergence._last_adder.update(dict.fromkeys(divergence._last_adder, (0, 0, None)))
 
 
 class TestWorkedExamples:
@@ -174,6 +174,28 @@ class TestMaximizer:
                 alone = count_unordered(total, cells) == 1
                 for p in enumerate_unordered(total, cells):
                     assert (build_maximizer(p).max_divergence == 0.0) == alone, p
+
+
+class TestTransferFloor:
+    def test_kl_floor_is_a_one_unit_transfer(self):
+        # kl(P, .) is M-convex (see the divergence docstring): its least value
+        # over every Q != P is met at some Q = P + e_i - e_j, here bit for bit
+        domains = [
+            (m, n)
+            for m in range(3, 13)
+            for n in range(2, min(m, 5) + 1)
+            if count_unordered(m, n) >= 2
+        ]
+        assert len(domains) == 34
+        for m, n in domains:
+            ds = list(enumerate_unordered(m, n))
+            for p in ds:
+                values = {q: reference_kl(p, q) for q in ds if q != p}
+                moves = [
+                    q for q in values
+                    if sum(abs(a - b) for a, b in zip(p.multiplicities, q.multiplicities)) == 2
+                ]
+                assert min(values.values()) == min(values[q] for q in moves), (m, n, p)
 
 
 class TestValidation:
@@ -272,29 +294,29 @@ class TestScalarLoop:
             ([2] + [1] * CELLS, [1] * CELLS + [2]),  # top 2, one cell past the cap
         ):
             p, q = map(from_multiplicities, counts)
-            builds, adders = table_builds(), set(divergence._adders)
+            builds = table_builds()
             for measure in (kl, kn, jsd, hellinger_squared):
                 measure(p, q)
             assert table_builds() == builds, counts
-            assert set(divergence._adders) == adders, counts
-        assert CELLS + 1 not in divergence._adders
-        # at top == TOP the first call builds kl's table and the next reads it
-        # from kl's slot, with no lookup in _term_rows' cache
+        # at top == TOP the first call builds kl's adder and the next reads it
+        # from kl's slot, with no lookup in _adder's cache
         clear_tables()
         p, q = from_multiplicities([TOP, 1, 1]), from_multiplicities([1, 1, TOP])
         assert kl(p, q) == kl(q, p)
-        info = divergence._term_rows.cache_info()
+        info = divergence._adder.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
-    def test_table_extends_as_the_top_grows(self):
-        # one total with fewer cells each time: each term's table grows to the
-        # new top, and then serves the smaller top it started at
+    def test_rotating_more_domains_than_the_cache_holds(self):
+        # one domain more than _adder's cache holds, in turn: each visit
+        # evicts the adder the next one needs, and the rebuilt adders give
+        # the reference loop's bits
         clear_tables()
-        for cells in 6, 3, 2, 6, 3:
-            ds = list(enumerate_unordered(20, cells))
-            for p, q in zip(ds, reversed(ds)):
-                assert_equals_reference(p, q)
-        assert table_builds() == 3 * 3  # three terms at tops 15, 18 and 19
+        specs = [(20, cells) for cells in range(2, divergence._adder.cache_info().maxsize + 3)]
+        domains = [list(enumerate_unordered(*spec))[:5] for spec in specs]
+        for row in zip(*domains):
+            for p in row:
+                assert_equals_reference(p, from_multiplicities(p.multiplicities[::-1]))
+        assert table_builds() == 3 * 5 * len(specs)  # three terms a visit
 
     @pytest.mark.parametrize(
         "measure, reference",
@@ -305,7 +327,7 @@ class TestScalarLoop:
         ],
     )
     def test_totals_in_alternation_build_once_each(self, measure, reference):
-        # four totals in turn, as _term_rows' cache holds: one build per total
+        # four totals in turn, as _adder's cache holds: one build per total
         clear_tables()
         domains = [list(enumerate_unordered(m, 3)) for m in (9, 12, 17, 30)]
         for row in zip(*domains):  # one distribution of each total in turn
@@ -322,16 +344,18 @@ class TestScalarLoop:
             assert_equals_reference(*map(from_multiplicities, (counts, counts[::-1])))
         assert table_builds() == 3
 
-    def test_adders_are_built_once_per_cell_count(self):
-        divergence._adders.clear()
-        with mock.patch.object(
-            divergence, "_build_adder", wraps=divergence._build_adder
-        ) as build:
+    def test_adders_are_built_once_per_term_total_and_cells(self):
+        clear_tables()
+        with mock.patch.object(divergence, "_adder", wraps=divergence._adder) as adder:
             for spec in (6, 3), (7, 4), (5, 1):
                 verify_maximizer_sweep(spec)
-            assert [c.args for c in build.call_args_list] == [(3,), (4,), (1,)]
+            # kl's slot serves every call after a domain's first
+            assert [c.args for c in adder.call_args_list] == [
+                (_kl_term, 6, 3), (_kl_term, 7, 4), (_kl_term, 5, 1)
+            ]
             verify_maximizer_sweep((6, 3))
-            assert build.call_count == 3
+            assert adder.call_count == 4
+        assert table_builds() == 3  # the fourth call is a hit in _adder's cache
 
     def test_left_to_right_order_is_pinned(self):
         # math.fsum of these terms, or a compensated sum(), ends in another bit;
